@@ -15,8 +15,7 @@
 //! follow-on work starts from), so there is no cross-board coherence
 //! state to maintain — every access observes the owner's current value.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use enzian_eci::bridge::{
     decode_bridge, encode_bridge, BridgeMsg, BridgeOp, BRIDGE_OVERHEAD_BYTES,
@@ -25,11 +24,14 @@ use enzian_eci::link::fault_targets;
 use enzian_eci::system::TXN_STALL_TARGET;
 use enzian_eci::{EciSystem, EciSystemConfig};
 use enzian_mem::Addr;
-use enzian_net::eth::{EthLink, EthLinkConfig, FRAME_OVERHEAD_BYTES};
-use enzian_sim::par::{run_conservative, Envelope, EpochWindow, ParConfig, Shard};
-use enzian_sim::{
-    Channel, ChannelConfig, Duration, FaultPlan, FaultSpec, MetricsRegistry, SimRng, Time,
+use enzian_net::eth::{EthLink, EthLinkConfig};
+use enzian_sim::par::{
+    run_conservative, run_reference, Envelope, EventShard, Inbox, ParConfig, ParReport, WorkKey,
 };
+use enzian_sim::{Duration, FaultPlan, FaultSpec, MetricsRegistry, SimRng, Time};
+
+pub use crate::fabric::FlowStats;
+use crate::fabric::{FabricPort, Fnv};
 
 /// Identifies a board in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -244,23 +246,6 @@ impl enzian_sim::Instrumented for EnzianCluster {
 // Conservative-parallel cluster execution
 // -------------------------------------------------------------------
 
-/// Per-destination traffic accounting for one board's bridge, as seen
-/// at the sender.
-///
-/// `wire_bytes` counts encoded frames exactly as the fabric carries
-/// them, so for every flow `wire_bytes == payload_bytes + frames *`
-/// [`BRIDGE_HEADER`] and equals the outgoing channel's
-/// [`Channel::bytes_carried`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowStats {
-    /// Bridge frames sent to this destination.
-    pub frames: u64,
-    /// Cache-line payload bytes carried by those frames.
-    pub payload_bytes: u64,
-    /// Total encoded bytes handed to the fabric.
-    pub wire_bytes: u64,
-}
-
 /// A synthetic cluster workload: per-board request streams mixing
 /// local coherent accesses with bridged remote reads/writes, all
 /// derived from one seed so any two same-seed runs are identical.
@@ -346,7 +331,7 @@ impl ClusterWorkload {
 /// The only engine-dependent field is `epochs` (zero for the
 /// sequential reference driver); [`ClusterRunReport::assert_matches`]
 /// compares everything else.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterRunReport {
     /// Boards simulated.
     pub boards: usize,
@@ -429,27 +414,6 @@ impl ClusterRunReport {
     }
 }
 
-/// FNV-1a 64-bit, used for the run digest (stable, dependency-free).
-/// Shared with the service runtime's digest (`crate::service`).
-pub(crate) struct Fnv(pub(crate) u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
-
 /// One stream's pending bridged operation, awaiting its response.
 struct PendingOp {
     write: bool,
@@ -484,14 +448,9 @@ struct BoardShard {
     write_bp: u64,
     bridge_latency: Duration,
     sys: EciSystem,
-    /// Outgoing channel per destination board (`None` for self).
-    out: Vec<Option<Channel>>,
+    port: FabricPort,
     streams: Vec<StreamState>,
-    inbox: BinaryHeap<Reverse<Envelope<Vec<u8>>>>,
-    /// Envelope sequence counter — unique per (board, seq), so the
-    /// merge order (time, src, seq) is total.
-    seq: u32,
-    flows: Vec<FlowStats>,
+    inbox: Inbox<Vec<u8>>,
     last: Time,
     local_reads: u64,
     local_writes: u64,
@@ -501,43 +460,11 @@ struct BoardShard {
     failures: u64,
 }
 
-/// Key ordering per-board work: inbox deliveries run before stream
-/// issues at the same instant, and both tie-break deterministically.
-type WorkKey = (Time, u8, u64, u64);
-
 impl BoardShard {
     /// Requester-private byte offset (valid within any board's slice)
     /// for `(owner-of-the-request board, stream, slot)`.
     fn slot_offset(&self, stream: usize, slot: u64) -> u64 {
         ((self.id * self.streams_per_board + stream) as u64 * self.slots_per_stream + slot) * 128
-    }
-
-    fn push_arrival(&mut self, env: Envelope<Vec<u8>>) {
-        self.inbox.push(Reverse(env));
-    }
-
-    /// The next unit of work, or `None` when the board is quiescent.
-    fn next_key(&self) -> Option<WorkKey> {
-        let mut best: Option<WorkKey> = None;
-        if let Some(Reverse(env)) = self.inbox.peek() {
-            best = Some((env.at, 0, env.src as u64, env.seq));
-        }
-        for (i, s) in self.streams.iter().enumerate() {
-            if s.remaining == 0 || s.blocked.is_some() {
-                continue;
-            }
-            let k = (s.at, 1, i as u64, 0);
-            if best.is_none_or(|b| k < b) {
-                best = Some(k);
-            }
-        }
-        best
-    }
-
-    fn next_seq(&mut self) -> u32 {
-        let s = self.seq;
-        self.seq += 1;
-        s
     }
 
     /// Encodes `msg`, serializes it onto the channel towards `dst` at
@@ -554,12 +481,7 @@ impl BoardShard {
             BridgeOp::ReadResp(_) | BridgeOp::WriteReq(_) => 128,
             _ => 0,
         };
-        let ch = self.out[dst].as_mut().expect("no channel to self");
-        let xfer = ch.send(at, bytes.len() as u64);
-        let flow = &mut self.flows[dst];
-        flow.frames += 1;
-        flow.payload_bytes += payload;
-        flow.wire_bytes += bytes.len() as u64;
+        let xfer = self.port.send(dst, at, bytes.len() as u64, payload);
         let seq = u64::from(msg.seq);
         let env = Envelope {
             at: xfer.done + self.bridge_latency,
@@ -572,7 +494,7 @@ impl BoardShard {
 
     /// Serves or completes the next inbox delivery.
     fn process_envelope(&mut self, out: &mut Vec<(usize, Envelope<Vec<u8>>)>) {
-        let Reverse(env) = self.inbox.pop().expect("inbox not empty");
+        let env = self.inbox.pop().expect("inbox not empty");
         let msg = decode_bridge(&env.payload).expect("fabric frames survive transit");
         let src = usize::from(msg.src);
         match msg.op {
@@ -588,7 +510,7 @@ impl BoardShard {
                     dst: msg.src,
                     token: msg.token,
                     addr: msg.addr,
-                    seq: self.next_seq(),
+                    seq: self.port.next_seq() as u32,
                     op,
                 };
                 self.send_frame(src, at, &reply, out);
@@ -605,7 +527,7 @@ impl BoardShard {
                     dst: msg.src,
                     token: msg.token,
                     addr: msg.addr,
-                    seq: self.next_seq(),
+                    seq: self.port.next_seq() as u32,
                     op,
                 };
                 self.send_frame(src, at, &reply, out);
@@ -718,7 +640,7 @@ impl BoardShard {
                 dst: dst as u8,
                 token: si as u8,
                 addr: global,
-                seq: self.next_seq(),
+                seq: self.port.next_seq() as u32,
                 op,
             };
             self.streams[si].blocked = Some(PendingOp {
@@ -743,16 +665,6 @@ impl BoardShard {
         self.last = self.last.max(s.at);
     }
 
-    /// Runs the single earliest unit of work on this board.
-    fn process_next(&mut self, out: &mut Vec<(usize, Envelope<Vec<u8>>)>) {
-        let key = self.next_key().expect("process_next on a quiescent board");
-        if key.1 == 0 {
-            self.process_envelope(out);
-        } else {
-            self.process_stream(key.2 as usize, out);
-        }
-    }
-
     /// Folds this board's externally observable final state into `d`.
     fn digest_into(&self, d: &mut Fnv) {
         d.u64(self.id as u64);
@@ -770,11 +682,7 @@ impl BoardShard {
                 }
             }
         }
-        for f in &self.flows {
-            d.u64(f.frames);
-            d.u64(f.payload_bytes);
-            d.u64(f.wire_bytes);
-        }
+        self.port.digest_into(d);
         d.u64(self.last.as_ps());
         d.u64(self.local_reads);
         d.u64(self.local_writes);
@@ -786,23 +694,35 @@ impl BoardShard {
     }
 }
 
-impl Shard for BoardShard {
+impl EventShard for BoardShard {
     type Msg = Vec<u8>;
 
-    fn step(
-        &mut self,
-        window: EpochWindow,
-        arrivals: Vec<Envelope<Vec<u8>>>,
-        out: &mut Vec<(usize, Envelope<Vec<u8>>)>,
-    ) {
-        for env in arrivals {
-            self.inbox.push(Reverse(env));
-        }
-        while let Some(key) = self.next_key() {
-            if key.0 >= window.end {
-                break;
+    fn inbox(&mut self) -> &mut Inbox<Vec<u8>> {
+        &mut self.inbox
+    }
+
+    /// Inbox deliveries run before stream issues `(stream, 0)` at the
+    /// same instant. A blocked stream has no key: its response wakes it.
+    fn next_key(&self) -> Option<WorkKey> {
+        let mut best = self.inbox.next_key();
+        for (i, s) in self.streams.iter().enumerate() {
+            if s.remaining == 0 || s.blocked.is_some() {
+                continue;
             }
-            self.process_next(out);
+            let k = (s.at, 1, i as u64, 0);
+            if best.is_none_or(|b| k < b) {
+                best = Some(k);
+            }
+        }
+        best
+    }
+
+    fn process_next(&mut self, out: &mut Vec<(usize, Envelope<Vec<u8>>)>) {
+        let key = self.next_key().expect("process_next on a quiescent board");
+        if key.1 == 0 {
+            self.process_envelope(out);
+        } else {
+            self.process_stream(key.2 as usize, out);
         }
     }
 
@@ -813,42 +733,6 @@ impl Shard for BoardShard {
                 .iter()
                 .all(|s| s.remaining == 0 && s.blocked.is_none())
     }
-
-    fn next_activity(&self) -> Option<Time> {
-        // The earliest held delivery or ready stream issue. A *blocked*
-        // stream has no key, but its wake-up is a response envelope that
-        // is either already in some inbox (covered here) or still in
-        // flight this epoch (covered by the engine's send-time fold), so
-        // the leader can never jump past it.
-        self.next_key().map(|k| k.0)
-    }
-}
-
-/// Sequential reference driver: a single global clock sweeping the
-/// earliest work item across all boards, with immediate delivery. The
-/// per-board processing order is identical to the epoch engine's, so
-/// final states must match bit-for-bit — a genuinely different
-/// execution engine validating the lookahead/epoch machinery.
-fn run_shards_reference(shards: &mut [BoardShard]) -> u64 {
-    let mut messages = 0;
-    let mut out = Vec::new();
-    loop {
-        let mut best: Option<(WorkKey, usize)> = None;
-        for (i, s) in shards.iter().enumerate() {
-            if let Some(k) = s.next_key() {
-                if best.is_none_or(|(bk, bi)| (k, i) < (bk, bi)) {
-                    best = Some((k, i));
-                }
-            }
-        }
-        let Some((_, i)) = best else { break };
-        shards[i].process_next(&mut out);
-        messages += out.len() as u64;
-        for (dst, env) in out.drain(..) {
-            shards[dst].push_arrival(env);
-        }
-    }
-    messages
 }
 
 impl EnzianCluster {
@@ -871,12 +755,6 @@ impl EnzianCluster {
             "workload's private regions exceed a board slice"
         );
         let boards = std::mem::take(&mut self.boards);
-        let chan_cfg = ChannelConfig {
-            bits_per_sec: self.link_config.bits_per_sec,
-            coding_efficiency: 1.0,
-            propagation: self.link_config.propagation,
-            frame_overhead_bytes: FRAME_OVERHEAD_BYTES,
-        };
         boards
             .into_iter()
             .enumerate()
@@ -916,13 +794,9 @@ impl EnzianCluster {
                     write_bp: w.write_bp,
                     bridge_latency: self.bridge_latency,
                     sys,
-                    out: (0..n)
-                        .map(|d| (d != id).then(|| Channel::new(chan_cfg)))
-                        .collect(),
+                    port: FabricPort::new(id, n),
                     streams,
-                    inbox: BinaryHeap::new(),
-                    seq: 0,
-                    flows: vec![FlowStats::default(); n],
+                    inbox: Inbox::default(),
                     last: Time::ZERO,
                     local_reads: 0,
                     local_writes: 0,
@@ -940,29 +814,17 @@ impl EnzianCluster {
         &mut self,
         shards: Vec<BoardShard>,
         w: &ClusterWorkload,
-        epochs: u64,
-        epochs_skipped: u64,
-        messages: u64,
+        par: ParReport,
     ) -> ClusterRunReport {
         let n = shards.len();
         let mut report = ClusterRunReport {
             boards: n,
             total_ops: (n * w.streams_per_board) as u64 * w.ops_per_stream,
-            local_reads: 0,
-            local_writes: 0,
-            remote_reads: 0,
-            remote_writes: 0,
-            nacks: 0,
-            failures: 0,
-            bridge_frames: 0,
-            bridge_payload_bytes: 0,
-            bridge_wire_bytes: 0,
-            sim_end: Time::ZERO,
-            epochs,
-            epochs_skipped,
-            messages,
-            trace_digest: 0,
+            epochs: par.epochs,
+            epochs_skipped: par.epochs_skipped,
+            messages: par.messages,
             flows: Vec::with_capacity(n),
+            ..ClusterRunReport::default()
         };
         let mut digest = Fnv::new();
         for shard in shards {
@@ -975,20 +837,11 @@ impl EnzianCluster {
             report.nacks += shard.nacks;
             report.failures += shard.failures;
             report.sim_end = report.sim_end.max(shard.last);
-            for (dst, (f, ch)) in shard.flows.iter().zip(&shard.out).enumerate() {
-                report.bridge_frames += f.frames;
-                report.bridge_payload_bytes += f.payload_bytes;
-                report.bridge_wire_bytes += f.wire_bytes;
-                if let Some(ch) = ch {
-                    assert_eq!(
-                        f.wire_bytes,
-                        ch.bytes_carried(),
-                        "flow accounting diverged from the channel ({} -> {dst})",
-                        shard.id
-                    );
-                }
-            }
-            report.flows.push(shard.flows.clone());
+            let fabric = shard.port.audit();
+            report.bridge_frames += fabric.frames;
+            report.bridge_payload_bytes += fabric.payload_bytes;
+            report.bridge_wire_bytes += fabric.wire_bytes;
+            report.flows.push(shard.port.flows().to_vec());
             self.remote_reads += shard.remote_reads;
             self.remote_writes += shard.remote_writes;
             self.boards.push(shard.sys);
@@ -1020,7 +873,7 @@ impl EnzianCluster {
             .with_threads(threads)
             .with_channel_capacity(256);
         let par = run_conservative(&mut shards, &cfg);
-        self.finish_run(shards, w, par.epochs, par.epochs_skipped, par.messages)
+        self.finish_run(shards, w, par)
     }
 
     /// Runs `w` on the sequential reference driver (global
@@ -1030,8 +883,8 @@ impl EnzianCluster {
     /// count.
     pub fn run_reference(&mut self, w: &ClusterWorkload) -> ClusterRunReport {
         let mut shards = self.make_shards(w);
-        let messages = run_shards_reference(&mut shards);
-        self.finish_run(shards, w, 0, 0, messages)
+        let par = run_reference(&mut shards);
+        self.finish_run(shards, w, par)
     }
 }
 

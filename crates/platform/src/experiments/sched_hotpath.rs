@@ -24,8 +24,8 @@
 
 use enzian_sim::alloc_count;
 use enzian_sim::{
-    reference, run_conservative, Duration, Envelope, EpochWindow, MetricsRegistry, ParConfig, Pod,
-    Shard, Simulator, Time, TraceEvent,
+    reference, run_conservative, Duration, MetricsRegistry, ParConfig, Pod, Simulator, Time,
+    TraceEvent,
 };
 
 /// Actors in the storm; each runs an independent event chain.
@@ -181,46 +181,16 @@ pub fn run_pod_core() -> (u64, u64, Time) {
     (m.fired(), m.digest(), end)
 }
 
-/// One PDES shard of the parallel leg: a slice of the actors on its own
-/// calendar-queue simulator, advanced window by window. The storm is
-/// embarrassingly parallel (no cross-shard messages), which makes this
-/// leg a pure measurement of the epoch machinery plus per-shard kernel
-/// throughput; adaptive lookahead skips the quiet tail epochs.
-struct StormShard {
-    sim: Simulator<Storm>,
-}
-
-impl Shard for StormShard {
-    type Msg = ();
-
-    fn step(
-        &mut self,
-        window: EpochWindow,
-        arrivals: Vec<Envelope<()>>,
-        _out: &mut Vec<(usize, Envelope<()>)>,
-    ) {
-        debug_assert!(arrivals.is_empty());
-        let _ = self.sim.run_before(window.end);
-    }
-
-    fn idle(&self) -> bool {
-        self.sim.pending() == 0
-    }
-
-    fn next_activity(&self) -> Option<Time> {
-        // `peek_next_time` needs `&mut self` (it may compact the
-        // queue); the live lower bound is the simulator's clock, which
-        // is exact right after `run_before` drained everything before
-        // the window end.
-        (self.sim.pending() > 0).then(|| self.sim.now())
-    }
-}
-
-/// Drives the storm sharded across the conservative engine. Returns
+/// Drives the storm sharded across the conservative engine: each shard
+/// is a slice of the actors on its own calendar-queue simulator,
+/// advanced window by window. The storm is embarrassingly parallel (no
+/// cross-shard messages), which makes this leg a pure measurement of the
+/// epoch machinery plus per-shard kernel throughput; adaptive lookahead
+/// skips the quiet tail epochs. Returns
 /// `(events, digest, epochs, epochs_skipped, sim_end)`.
 pub fn run_parallel(threads: usize) -> (u64, u64, u64, u64, Time) {
     let per = ACTORS / SHARDS;
-    let mut shards: Vec<StormShard> = (0..SHARDS)
+    let mut shards: Vec<Simulator<Storm>> = (0..SHARDS)
         .map(|i| {
             let mut sim = Simulator::new(Storm::new(i * per, per));
             for actor in 0..per {
@@ -230,7 +200,7 @@ pub fn run_parallel(threads: usize) -> (u64, u64, u64, u64, Time) {
                     Pod::new(actor as u64, 0, 0, 0),
                 );
             }
-            StormShard { sim }
+            sim
         })
         .collect();
     let report = run_conservative(
@@ -240,11 +210,11 @@ pub fn run_parallel(threads: usize) -> (u64, u64, u64, u64, Time) {
     let mut events = 0;
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut end = Time::ZERO;
-    for sh in &shards {
-        let m = sh.sim.model();
+    for sim in &shards {
+        let m = sim.model();
         events += m.fired();
         digest = fnv(digest, m.digest());
-        end = end.max(sh.sim.now());
+        end = end.max(sim.now());
     }
     (events, digest, report.epochs, report.epochs_skipped, end)
 }

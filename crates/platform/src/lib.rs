@@ -12,6 +12,7 @@ pub mod catapult;
 pub mod cluster;
 pub mod devicetree;
 pub mod experiments;
+mod fabric;
 pub mod machine;
 pub mod presets;
 pub mod service;

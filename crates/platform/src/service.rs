@@ -5,8 +5,8 @@
 //! machines from [`enzian_apps::service`] onto the boards of a
 //! conservative-parallel cluster (the same engine as
 //! [`crate::cluster`]), carries every service message inside a bridge
-//! `Svc*` frame over seeded [`Channel`]s, and drives the robustness
-//! machinery end to end:
+//! `Svc*` frame over seeded [`Channel`](enzian_sim::Channel)s, and
+//! drives the robustness machinery end to end:
 //!
 //! * **Fault scenarios** ([`FaultScenario`]) build per-board
 //!   [`FaultPlan`]s over the shared cluster targets
@@ -42,8 +42,7 @@
 //! quorum — *before* its replication retry budget does: it steps down
 //! instead of solo-committing a write the promoted backup never saw.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use enzian_apps::service::{
     verify_log, AckState, Applied, ClientPlan, ClientState, KvOp, KvResult, LogEntry, Replica,
@@ -51,13 +50,13 @@ use enzian_apps::service::{
 };
 use enzian_apps::{decode_svc, encode_svc, KvStoreConfig};
 use enzian_eci::bridge::{decode_bridge, encode_bridge, BridgeMsg, BridgeOp};
-use enzian_net::eth::{EthLinkConfig, FRAME_OVERHEAD_BYTES};
-use enzian_sim::par::{run_conservative, Envelope, EpochWindow, ParConfig, Shard};
-use enzian_sim::{
-    cluster_targets, Channel, ChannelConfig, Duration, FaultPlan, FaultSpec, MetricsRegistry, Time,
+use enzian_net::eth::EthLinkConfig;
+use enzian_sim::par::{
+    run_conservative, run_reference, Envelope, EventShard, Inbox, ParConfig, ParReport, WorkKey,
 };
+use enzian_sim::{cluster_targets, Duration, FaultPlan, FaultSpec, MetricsRegistry, Time};
 
-use crate::cluster::{FlowStats, Fnv};
+use crate::fabric::{FabricPort, Fnv};
 
 // -------------------------------------------------------------------
 // Configuration
@@ -356,11 +355,6 @@ impl CatchupState {
     }
 }
 
-/// Key ordering per-board work: `(time, class, a, b)` where class 0 is
-/// an inbox delivery `(src, seq)`, 1 a client wake `(client, 0)`, 2 the
-/// heartbeat tick, and 3 a replication timer `(shard, index)`.
-type WorkKey = (Time, u8, u64, u64);
-
 /// One board of the replicated service: its shard replicas, its
 /// clients, its timers, and its half of the fabric.
 struct ServiceBoard {
@@ -386,7 +380,7 @@ struct ServiceBoard {
     plan: FaultPlan,
     down: bool,
     down_since: Time,
-    out: Vec<Option<Channel>>,
+    port: FabricPort,
     /// Per-destination serialization floor: the wire start of the last
     /// frame sent there. Submitting at-or-after it keeps the channel
     /// FIFO even though replicate/response send times (apply-completion
@@ -394,9 +388,7 @@ struct ServiceBoard {
     /// a short later frame can gap-fill ahead of an in-flight one and
     /// force a spurious full catch-up on the backup.
     send_floor: Vec<Time>,
-    inbox: BinaryHeap<Reverse<Envelope<Vec<u8>>>>,
-    seq: u32,
-    flows: Vec<FlowStats>,
+    inbox: Inbox<Vec<u8>>,
     slo: SloRecorder,
     last: Time,
     crashes: u64,
@@ -420,41 +412,6 @@ type Out = Vec<(usize, Envelope<Vec<u8>>)>;
 impl ServiceBoard {
     fn me(&self) -> u8 {
         self.id as u8
-    }
-
-    fn next_seq(&mut self) -> u32 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
-    fn push_arrival(&mut self, env: Envelope<Vec<u8>>) {
-        self.inbox.push(Reverse(env));
-    }
-
-    /// The next unit of work, or `None` when the board is quiescent.
-    fn next_key(&self) -> Option<WorkKey> {
-        let mut best: Option<WorkKey> = None;
-        let consider = |k: WorkKey, best: &mut Option<WorkKey>| {
-            if best.is_none_or(|b| k < b) {
-                *best = Some(k);
-            }
-        };
-        if let Some(Reverse(env)) = self.inbox.peek() {
-            consider((env.at, 0, env.src as u64, env.seq), &mut best);
-        }
-        for (i, c) in self.clients.iter().enumerate() {
-            if let Some((t, _)) = &c.wake {
-                consider((*t, 1, i as u64, 0), &mut best);
-            }
-        }
-        if let Some(t) = self.next_hb {
-            consider((t, 2, 0, 0), &mut best);
-        }
-        if let Some(&(t, shard, index)) = self.rep_timers.iter().next() {
-            consider((t, 3, u64::from(shard), u64::from(index)), &mut best);
-        }
-        best
     }
 
     // ---------------------------------------------------------------
@@ -554,14 +511,14 @@ impl ServiceBoard {
             dst: dst as u8,
             token: 0,
             addr: 0,
-            seq: self.next_seq(),
+            seq: self.port.next_seq() as u32,
             op: Self::plane(payload, bytes),
         };
         let frame = encode_bridge(&msg);
         let seq = u64::from(msg.seq);
         if dst == self.id {
             self.local_msgs += 1;
-            self.push_arrival(Envelope {
+            self.inbox.push(Envelope {
                 at: at + self.cfg.local_latency,
                 src: self.id,
                 seq,
@@ -578,16 +535,17 @@ impl ServiceBoard {
             extra = self.cfg.delay_extra;
             self.delays_injected += 1;
         }
-        let ch = self.out[dst].as_mut().expect("no channel to self");
-        let xfer = ch.send(at.max(self.send_floor[dst]), frame.len() as u64);
-        self.send_floor[dst] = xfer.start;
-        let flow = &mut self.flows[dst];
-        flow.frames += 1;
-        flow.payload_bytes += match &msg.op {
+        let payload = match &msg.op {
             BridgeOp::SvcClient(b) | BridgeOp::SvcRep(b) | BridgeOp::SvcCtl(b) => b.len() as u64,
             _ => 0,
         };
-        flow.wire_bytes += frame.len() as u64;
+        let xfer = self.port.send(
+            dst,
+            at.max(self.send_floor[dst]),
+            frame.len() as u64,
+            payload,
+        );
+        self.send_floor[dst] = xfer.start;
         out.push((
             dst,
             Envelope {
@@ -749,7 +707,7 @@ impl ServiceBoard {
     // ---------------------------------------------------------------
 
     fn process_envelope(&mut self, out: &mut Out) {
-        let Reverse(env) = self.inbox.pop().expect("inbox not empty");
+        let env = self.inbox.pop().expect("inbox not empty");
         let now = env.at;
         self.last = self.last.max(now);
         if env.src != self.id
@@ -1505,11 +1463,72 @@ impl ServiceBoard {
         );
     }
 
-    // ---------------------------------------------------------------
-    // Dispatch
-    // ---------------------------------------------------------------
+    /// Folds this board's externally observable final state into `d`.
+    fn digest_into(&self, d: &mut Fnv) {
+        d.u64(self.id as u64);
+        for r in self.replicas.values() {
+            r.digest_into(&mut |v| d.u64(v));
+        }
+        for c in &self.clients {
+            d.u64(u64::from(c.state.uid));
+            d.u64(c.state.remaining);
+            for (key, st) in &c.state.acked {
+                d.u64(*key);
+                match st {
+                    None => d.u64(1),
+                    Some(None) => d.u64(2),
+                    Some(Some(v)) => {
+                        d.u64(3);
+                        d.bytes(v);
+                    }
+                }
+            }
+        }
+        self.port.digest_into(d);
+        d.u64(self.last.as_ps());
+        d.u64(self.crashes);
+        d.u64(self.rejoins);
+        d.u64(self.crashed_ops);
+        d.u64(self.failovers);
+        d.u64(self.solo_commits);
+        d.u64(self.fenced);
+        d.u64(self.step_downs);
+        d.u64(self.partition_drops);
+        d.u64(self.delays_injected);
+    }
+}
 
-    /// Runs the single earliest unit of work on this board.
+impl EventShard for ServiceBoard {
+    type Msg = Vec<u8>;
+
+    fn inbox(&mut self) -> &mut Inbox<Vec<u8>> {
+        &mut self.inbox
+    }
+
+    /// `(time, class, a, b)` where class 0 is an inbox delivery
+    /// `(src, seq)`, 1 a client wake `(client, 0)`, 2 the heartbeat
+    /// tick, and 3 a replication timer `(shard, index)`.
+    fn next_key(&self) -> Option<WorkKey> {
+        let mut best = self.inbox.next_key();
+        let mut consider = |k: WorkKey| {
+            if best.is_none_or(|b| k < b) {
+                best = Some(k);
+            }
+        };
+        for (i, c) in self.clients.iter().enumerate() {
+            if let Some((t, _)) = &c.wake {
+                consider((*t, 1, i as u64, 0));
+            }
+        }
+        if let Some(t) = self.next_hb {
+            consider((t, 2, 0, 0));
+        }
+        if let Some(&(t, shard, index)) = self.rep_timers.first() {
+            consider((t, 3, u64::from(shard), u64::from(index)));
+        }
+        best
+    }
+
     fn process_next(&mut self, out: &mut Out) {
         let key = self.next_key().expect("process_next on a quiescent board");
         let was_down = self.down;
@@ -1542,69 +1561,11 @@ impl ServiceBoard {
         }
     }
 
-    /// Folds this board's externally observable final state into `d`.
-    fn digest_into(&self, d: &mut Fnv) {
-        d.u64(self.id as u64);
-        for r in self.replicas.values() {
-            r.digest_into(&mut |v| d.u64(v));
-        }
-        for c in &self.clients {
-            d.u64(u64::from(c.state.uid));
-            d.u64(c.state.remaining);
-            for (key, st) in &c.state.acked {
-                d.u64(*key);
-                match st {
-                    None => d.u64(1),
-                    Some(None) => d.u64(2),
-                    Some(Some(v)) => {
-                        d.u64(3);
-                        d.bytes(v);
-                    }
-                }
-            }
-        }
-        for f in &self.flows {
-            d.u64(f.frames);
-            d.u64(f.payload_bytes);
-            d.u64(f.wire_bytes);
-        }
-        d.u64(self.last.as_ps());
-        d.u64(self.crashes);
-        d.u64(self.rejoins);
-        d.u64(self.crashed_ops);
-        d.u64(self.failovers);
-        d.u64(self.solo_commits);
-        d.u64(self.fenced);
-        d.u64(self.step_downs);
-        d.u64(self.partition_drops);
-        d.u64(self.delays_injected);
-    }
-}
-
-impl Shard for ServiceBoard {
-    type Msg = Vec<u8>;
-
-    fn step(&mut self, window: EpochWindow, arrivals: Vec<Envelope<Vec<u8>>>, out: &mut Out) {
-        for env in arrivals {
-            self.inbox.push(Reverse(env));
-        }
-        while let Some(key) = self.next_key() {
-            if key.0 >= window.end {
-                break;
-            }
-            self.process_next(out);
-        }
-    }
-
     fn idle(&self) -> bool {
         self.inbox.is_empty()
             && self.next_hb.is_none()
             && self.rep_timers.is_empty()
             && self.clients.iter().all(|c| c.wake.is_none())
-    }
-
-    fn next_activity(&self) -> Option<Time> {
-        self.next_key().map(|k| k.0)
     }
 }
 
@@ -1612,43 +1573,10 @@ impl Shard for ServiceBoard {
 // Run drivers + report
 // -------------------------------------------------------------------
 
-/// Sequential reference driver: one global clock sweeping the earliest
-/// work item across all boards with immediate delivery. The per-board
-/// processing order is identical to the epoch engine's, so final states
-/// must match bit-for-bit.
-fn run_boards_reference(boards: &mut [ServiceBoard]) -> u64 {
-    let mut messages = 0;
-    let mut out = Vec::new();
-    loop {
-        let mut best: Option<(WorkKey, usize)> = None;
-        for (i, b) in boards.iter().enumerate() {
-            if let Some(k) = b.next_key() {
-                if best.is_none_or(|(bk, bi)| (k, i) < (bk, bi)) {
-                    best = Some((k, i));
-                }
-            }
-        }
-        let Some((_, i)) = best else { break };
-        boards[i].process_next(&mut out);
-        messages += out.len() as u64;
-        for (dst, env) in out.drain(..) {
-            boards[dst].push_arrival(env);
-        }
-    }
-    messages
-}
-
 fn make_boards(cfg: &ServiceConfig) -> Vec<ServiceBoard> {
     cfg.validate();
     let n = usize::from(cfg.boards);
     let map = ShardMap::new(cfg.shards, cfg.boards);
-    let link = EthLinkConfig::hundred_gig();
-    let chan_cfg = ChannelConfig {
-        bits_per_sec: link.bits_per_sec,
-        coding_efficiency: 1.0,
-        propagation: link.propagation,
-        frame_overhead_bytes: FRAME_OVERHEAD_BYTES,
-    };
     (0..n)
         .map(|id| {
             let replicas: BTreeMap<u16, Replica> = map
@@ -1694,13 +1622,9 @@ fn make_boards(cfg: &ServiceConfig) -> Vec<ServiceBoard> {
                 plan: cfg.scenario.plan_for(cfg.seed, id as u8),
                 down: false,
                 down_since: Time::ZERO,
-                out: (0..n)
-                    .map(|d| (d != id).then(|| Channel::new(chan_cfg)))
-                    .collect(),
+                port: FabricPort::new(id, n),
                 send_floor: vec![Time::ZERO; n],
-                inbox: BinaryHeap::new(),
-                seq: 0,
-                flows: vec![FlowStats::default(); n],
+                inbox: Inbox::default(),
                 slo: SloRecorder::new(cfg.scenario.fault_window()),
                 last: Time::ZERO,
                 crashes: 0,
@@ -1726,7 +1650,7 @@ fn make_boards(cfg: &ServiceConfig) -> Vec<ServiceBoard> {
 /// never of the thread count. Only `epochs`/`epochs_skipped` depend on
 /// the engine; [`ServiceRunReport::assert_matches`] compares everything
 /// else.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceRunReport {
     /// Boards simulated.
     pub boards: usize,
@@ -1924,13 +1848,7 @@ fn describe(v: &Option<Vec<u8>>) -> String {
     }
 }
 
-fn finish_run(
-    cfg: &ServiceConfig,
-    boards: Vec<ServiceBoard>,
-    epochs: u64,
-    epochs_skipped: u64,
-    messages: u64,
-) -> ServiceRunReport {
+fn finish_run(cfg: &ServiceConfig, boards: Vec<ServiceBoard>, par: ParReport) -> ServiceRunReport {
     let n = boards.len();
     let mut slo = SloRecorder::new(cfg.scenario.fault_window());
     let mut digest = Fnv::new();
@@ -1939,39 +1857,12 @@ fn finish_run(
         shards: cfg.shards,
         clients: u32::from(cfg.boards) * u32::from(cfg.clients_per_board),
         total_client_ops: cfg.total_client_ops(),
-        ok_ops: 0,
-        failed_ops: 0,
-        crashed_ops: 0,
-        stale_served: 0,
-        timeouts: 0,
-        retries: 0,
-        failovers: 0,
-        solo_commits: 0,
-        fenced: 0,
-        step_downs: 0,
-        catchup_requests: 0,
-        catchups_completed: 0,
-        crashes: 0,
-        rejoins: 0,
-        partition_drops: 0,
-        delays_injected: 0,
-        heartbeats_sent: 0,
-        client_rejections: 0,
-        local_msgs: 0,
-        committed_entries: 0,
-        availability_in_window: 1.0,
-        availability_out_window: 1.0,
-        svc_frames: 0,
-        wire_bytes: 0,
-        sim_end: Time::ZERO,
-        epochs,
-        epochs_skipped,
-        messages,
-        digest: 0,
-        slo: SloRecorder::new(cfg.scenario.fault_window()),
+        epochs: par.epochs,
+        epochs_skipped: par.epochs_skipped,
+        messages: par.messages,
         shard_epochs: vec![0; usize::from(cfg.shards)],
         shard_logs: vec![Vec::new(); usize::from(cfg.shards)],
-        acked: Vec::new(),
+        ..ServiceRunReport::default()
     };
     // Authoritative log per shard: the replica with the highest epoch;
     // ties prefer the primary role, then the lower board id.
@@ -2024,18 +1915,9 @@ fn finish_run(
         report.client_rejections += b.client_rejections;
         report.local_msgs += b.local_msgs;
         report.sim_end = report.sim_end.max(b.last);
-        for (dst, (f, ch)) in b.flows.iter().zip(&b.out).enumerate() {
-            report.svc_frames += f.frames;
-            report.wire_bytes += f.wire_bytes;
-            if let Some(ch) = ch {
-                assert_eq!(
-                    f.wire_bytes,
-                    ch.bytes_carried(),
-                    "flow accounting diverged from the channel ({} -> {dst})",
-                    b.id
-                );
-            }
-        }
+        let fabric = b.port.audit();
+        report.svc_frames += fabric.frames;
+        report.wire_bytes += fabric.wire_bytes;
         for (shard, r) in b.replicas {
             let s = usize::from(shard);
             report.shard_epochs[s] = report.shard_epochs[s].max(r.epoch);
@@ -2079,7 +1961,7 @@ impl ServiceConfig {
             .with_threads(threads)
             .with_channel_capacity(256);
         let par = run_conservative(&mut boards, &par_cfg);
-        finish_run(self, boards, par.epochs, par.epochs_skipped, par.messages)
+        finish_run(self, boards, par)
     }
 
     /// Runs the service on the sequential reference driver. Exists to
@@ -2088,14 +1970,27 @@ impl ServiceConfig {
     /// [`ServiceConfig::run_parallel`] report must hold.
     pub fn run_reference(&self) -> ServiceRunReport {
         let mut boards = make_boards(self);
-        let messages = run_boards_reference(&mut boards);
-        finish_run(self, boards, 0, 0, messages)
+        let par = run_reference(&mut boards);
+        finish_run(self, boards, par)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wire_bytes_carry_the_bridge_header() {
+        let cfg = ServiceConfig::small().with_scenario(FaultScenario::RollingCrashes);
+        let mut boards = make_boards(&cfg);
+        run_reference(&mut boards);
+        for f in boards.iter().flat_map(|b| b.port.flows()) {
+            assert_eq!(
+                f.wire_bytes,
+                f.payload_bytes + f.frames * crate::cluster::BRIDGE_HEADER
+            );
+        }
+    }
 
     #[test]
     fn baseline_completes_clean() {

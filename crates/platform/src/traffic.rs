@@ -4,9 +4,9 @@
 //! places one [`SessionMux`] per board of a conservative-parallel
 //! cluster (the same engine as [`crate::cluster`] and
 //! [`crate::service`]), carries every TCP segment inside a bridge
-//! [`BridgeOp::Tcp`] frame over seeded [`Channel`]s, and drives full
-//! handshake / transfer / teardown sessions at TrafficEngine-style
-//! churn rates:
+//! [`BridgeOp::Tcp`] frame over seeded
+//! [`Channel`](enzian_sim::Channel)s, and drives full handshake /
+//! transfer / teardown sessions at TrafficEngine-style churn rates:
 //!
 //! * **Shared-nothing sharding**: each board is one generator running
 //!   client and server roles concurrently; segments are steered to the
@@ -26,18 +26,17 @@
 //! across thread counts and between the parallel engine and the
 //! sequential reference driver.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use enzian_eci::bridge::{decode_bridge, encode_bridge, BridgeMsg, BridgeOp};
-use enzian_net::eth::{EthLinkConfig, FRAME_OVERHEAD_BYTES};
+use enzian_net::eth::EthLinkConfig;
 use enzian_net::tcp::{LossPattern, SessionMux, TcpStackConfig, WireSegment, SEGMENT_LOSS_TARGET};
 use enzian_net::traffic::{decode_segment, encode_segment, PortMask};
-use enzian_sim::par::{run_conservative, Envelope, EpochWindow, ParConfig, Shard};
+use enzian_sim::par::{
+    run_conservative, run_reference, Envelope, EventShard, Inbox, ParConfig, ParReport, WorkKey,
+};
 use enzian_sim::stats::LatencyHistogram;
-use enzian_sim::{Channel, ChannelConfig, Duration, FaultPlan, FaultSpec, MetricsRegistry, Time};
+use enzian_sim::{Duration, FaultPlan, FaultSpec, MetricsRegistry, Time};
 
-use crate::cluster::{FlowStats, Fnv};
+use crate::fabric::{FabricPort, Fnv};
 
 /// Store-and-forward latency of the top-of-rack hop every inter-board
 /// frame crosses (the same 1 µs as [`enzian_net::eth::Switch::tor`]).
@@ -244,11 +243,6 @@ impl TrafficWorkload {
 // The per-board shard
 // -------------------------------------------------------------------
 
-/// Key ordering per-board work: `(time, class, a, b)` where class 0 is
-/// an inbox delivery `(src, seq)`, 1 the mux's earliest timer
-/// `(timer seq, 0)`, and 2 the next scheduled open `(0, 0)`.
-type WorkKey = (Time, u8, u64, u64);
-
 type Out = Vec<(usize, Envelope<Vec<u8>>)>;
 
 /// One board of the traffic cluster: its session mux, its open
@@ -262,10 +256,8 @@ struct TrafficBoard {
     opens_left: u64,
     opens_issued: u64,
     next_open: Option<Time>,
-    out: Vec<Option<Channel>>,
-    inbox: BinaryHeap<Reverse<Envelope<Vec<u8>>>>,
-    seq: u64,
-    flows: Vec<FlowStats>,
+    port: FabricPort,
+    inbox: Inbox<Vec<u8>>,
     /// Scratch buffer the mux emits into; drained after every event.
     buf: Vec<WireSegment>,
     last: Time,
@@ -274,10 +266,6 @@ struct TrafficBoard {
 impl TrafficBoard {
     fn me(&self) -> u8 {
         self.id as u8
-    }
-
-    fn push_arrival(&mut self, env: Envelope<Vec<u8>>) {
-        self.inbox.push(Reverse(env));
     }
 
     /// The destination of this board's `i`-th open: round-robin over
@@ -290,26 +278,6 @@ impl TrafficBoard {
         ((self.id as u64 + 1 + i % others) % self.n as u64) as u8
     }
 
-    /// The next unit of work, or `None` when the board is quiescent.
-    fn next_key(&self) -> Option<WorkKey> {
-        let mut best: Option<WorkKey> = None;
-        let consider = |k: WorkKey, best: &mut Option<WorkKey>| {
-            if best.is_none_or(|b| k < b) {
-                *best = Some(k);
-            }
-        };
-        if let Some(Reverse(env)) = self.inbox.peek() {
-            consider((env.at, 0, env.src as u64, env.seq), &mut best);
-        }
-        if let Some((t, seq)) = self.mux.next_timer() {
-            consider((t, 1, seq, 0), &mut best);
-        }
-        if let Some(t) = self.next_open {
-            consider((t, 2, 0, 0), &mut best);
-        }
-        best
-    }
-
     /// Frames every segment the mux emitted and hands it to the fabric.
     /// The mux's transmit pipeline is serial, so the emission times are
     /// already monotone per board and the per-destination channels stay
@@ -319,41 +287,38 @@ impl TrafficBoard {
         for ws in buf.drain(..) {
             let dst = usize::from(ws.seg.dst_board);
             debug_assert_ne!(dst, self.id, "the mux never emits to itself");
+            let seq = self.port.next_seq();
             let msg = BridgeMsg {
                 src: self.me(),
                 dst: ws.seg.dst_board,
                 token: 0,
                 addr: 0,
-                seq: self.seq as u32,
+                seq: seq as u32,
                 op: BridgeOp::Tcp(encode_segment(&ws.seg)),
             };
             let frame = encode_bridge(&msg);
             // The encoded frame carries the 28-byte segment header; the
             // session payload itself is synthetic, so the channel is
             // charged for both to occupy the wire realistically.
-            let wire = frame.len() as u64 + u64::from(ws.seg.len);
-            let ch = self.out[dst].as_mut().expect("no channel to self");
-            let xfer = ch.send(ws.at, wire);
-            let flow = &mut self.flows[dst];
-            flow.frames += 1;
-            flow.payload_bytes += u64::from(ws.seg.len);
-            flow.wire_bytes += wire;
+            let payload = u64::from(ws.seg.len);
+            let xfer = self
+                .port
+                .send(dst, ws.at, frame.len() as u64 + payload, payload);
             out.push((
                 dst,
                 Envelope {
                     at: xfer.done + SWITCH_LATENCY,
                     src: self.id,
-                    seq: self.seq,
+                    seq,
                     payload: frame,
                 },
             ));
-            self.seq += 1;
         }
         self.buf = buf;
     }
 
     fn process_envelope(&mut self, out: &mut Out) {
-        let Reverse(env) = self.inbox.pop().expect("inbox not empty");
+        let env = self.inbox.pop().expect("inbox not empty");
         self.last = self.last.max(env.at);
         let msg = decode_bridge(&env.payload).expect("fabric frames survive transit");
         let BridgeOp::Tcp(bytes) = &msg.op else {
@@ -387,7 +352,41 @@ impl TrafficBoard {
         self.flush(out);
     }
 
-    /// Runs the single earliest unit of work on this board.
+    /// Folds this board's externally observable final state into `d`.
+    fn digest_into(&self, d: &mut Fnv) {
+        d.u64(self.id as u64);
+        d.u64(self.mux.state_digest());
+        self.port.digest_into(d);
+        d.u64(self.last.as_ps());
+    }
+}
+
+impl EventShard for TrafficBoard {
+    type Msg = Vec<u8>;
+
+    fn inbox(&mut self) -> &mut Inbox<Vec<u8>> {
+        &mut self.inbox
+    }
+
+    /// `(time, class, a, b)` where class 0 is an inbox delivery
+    /// `(src, seq)`, 1 the mux's earliest timer `(timer seq, 0)`, and 2
+    /// the next scheduled open `(0, 0)`.
+    fn next_key(&self) -> Option<WorkKey> {
+        let mut best = self.inbox.next_key();
+        let mut consider = |k: WorkKey| {
+            if best.is_none_or(|b| k < b) {
+                best = Some(k);
+            }
+        };
+        if let Some((t, seq)) = self.mux.next_timer() {
+            consider((t, 1, seq, 0));
+        }
+        if let Some(t) = self.next_open {
+            consider((t, 2, 0, 0));
+        }
+        best
+    }
+
     fn process_next(&mut self, out: &mut Out) {
         let key = self.next_key().expect("process_next on a quiescent board");
         match key.1 {
@@ -398,40 +397,8 @@ impl TrafficBoard {
         }
     }
 
-    /// Folds this board's externally observable final state into `d`.
-    fn digest_into(&self, d: &mut Fnv) {
-        d.u64(self.id as u64);
-        d.u64(self.mux.state_digest());
-        for f in &self.flows {
-            d.u64(f.frames);
-            d.u64(f.payload_bytes);
-            d.u64(f.wire_bytes);
-        }
-        d.u64(self.last.as_ps());
-    }
-}
-
-impl Shard for TrafficBoard {
-    type Msg = Vec<u8>;
-
-    fn step(&mut self, window: EpochWindow, arrivals: Vec<Envelope<Vec<u8>>>, out: &mut Out) {
-        for env in arrivals {
-            self.inbox.push(Reverse(env));
-        }
-        while let Some(key) = self.next_key() {
-            if key.0 >= window.end {
-                break;
-            }
-            self.process_next(out);
-        }
-    }
-
     fn idle(&self) -> bool {
         self.inbox.is_empty() && self.next_open.is_none() && self.mux.idle()
-    }
-
-    fn next_activity(&self) -> Option<Time> {
-        self.next_key().map(|k| k.0)
     }
 }
 
@@ -439,43 +406,10 @@ impl Shard for TrafficBoard {
 // Run drivers + report
 // -------------------------------------------------------------------
 
-/// Sequential reference driver: one global clock sweeping the earliest
-/// work item across all boards with immediate delivery. The per-board
-/// processing order is identical to the epoch engine's, so final states
-/// must match bit-for-bit.
-fn run_boards_reference(boards: &mut [TrafficBoard]) -> u64 {
-    let mut messages = 0;
-    let mut out = Vec::new();
-    loop {
-        let mut best: Option<(WorkKey, usize)> = None;
-        for (i, b) in boards.iter().enumerate() {
-            if let Some(k) = b.next_key() {
-                if best.is_none_or(|(bk, bi)| (k, i) < (bk, bi)) {
-                    best = Some((k, i));
-                }
-            }
-        }
-        let Some((_, i)) = best else { break };
-        boards[i].process_next(&mut out);
-        messages += out.len() as u64;
-        for (dst, env) in out.drain(..) {
-            boards[dst].push_arrival(env);
-        }
-    }
-    messages
-}
-
 fn make_boards(w: &TrafficWorkload) -> Vec<TrafficBoard> {
     w.validate();
     let n = usize::from(w.boards);
     let mask = PortMask::for_boards(usize::from(w.boards));
-    let link = EthLinkConfig::hundred_gig();
-    let chan_cfg = ChannelConfig {
-        bits_per_sec: link.bits_per_sec,
-        coding_efficiency: 1.0,
-        propagation: link.propagation,
-        frame_overhead_bytes: FRAME_OVERHEAD_BYTES,
-    };
     (0..n)
         .map(|id| {
             let mut mux =
@@ -494,12 +428,8 @@ fn make_boards(w: &TrafficWorkload) -> Vec<TrafficBoard> {
                 opens_issued: 0,
                 next_open: (opens > 0)
                     .then(|| Time::ZERO + Duration::from_ns(50) * (id as u64 + 1)),
-                out: (0..n)
-                    .map(|d| (d != id).then(|| Channel::new(chan_cfg)))
-                    .collect(),
-                inbox: BinaryHeap::new(),
-                seq: 0,
-                flows: vec![FlowStats::default(); n],
+                port: FabricPort::new(id, n),
+                inbox: Inbox::default(),
                 buf: Vec::new(),
                 last: Time::ZERO,
             }
@@ -652,13 +582,7 @@ impl TrafficRunReport {
     }
 }
 
-fn finish_run(
-    w: &TrafficWorkload,
-    boards: Vec<TrafficBoard>,
-    epochs: u64,
-    epochs_skipped: u64,
-    messages: u64,
-) -> TrafficRunReport {
+fn finish_run(w: &TrafficWorkload, boards: Vec<TrafficBoard>, par: ParReport) -> TrafficRunReport {
     let mut digest = Fnv::new();
     let mut report = TrafficRunReport {
         boards: boards.len(),
@@ -687,9 +611,9 @@ fn finish_run(
         handshake: LatencyHistogram::new(),
         session: LatencyHistogram::new(),
         sim_end: Time::ZERO,
-        epochs,
-        epochs_skipped,
-        messages,
+        epochs: par.epochs,
+        epochs_skipped: par.epochs_skipped,
+        messages: par.messages,
         digest: 0,
     };
     for b in &boards {
@@ -727,18 +651,9 @@ fn finish_run(
         report.handshake.merge(&s.handshake);
         report.session.merge(&s.session);
         report.sim_end = report.sim_end.max(b.last);
-        for (dst, (f, ch)) in b.flows.iter().zip(&b.out).enumerate() {
-            report.frames += f.frames;
-            report.wire_bytes += f.wire_bytes;
-            if let Some(ch) = ch {
-                assert_eq!(
-                    f.wire_bytes,
-                    ch.bytes_carried(),
-                    "flow accounting diverged from the channel ({} -> {dst})",
-                    b.id
-                );
-            }
-        }
+        let fabric = b.port.audit();
+        report.frames += fabric.frames;
+        report.wire_bytes += fabric.wire_bytes;
     }
     report.digest = digest.0;
     assert_eq!(report.opened, w.total_sessions(), "opens went missing");
@@ -782,7 +697,7 @@ impl TrafficWorkload {
             .with_threads(threads)
             .with_channel_capacity(256);
         let par = run_conservative(&mut boards, &par_cfg);
-        finish_run(self, boards, par.epochs, par.epochs_skipped, par.messages)
+        finish_run(self, boards, par)
     }
 
     /// Runs the workload on the sequential reference driver. Exists to
@@ -791,8 +706,8 @@ impl TrafficWorkload {
     /// [`TrafficWorkload::run_parallel`] report must hold.
     pub fn run_reference(&self) -> TrafficRunReport {
         let mut boards = make_boards(self);
-        let messages = run_boards_reference(&mut boards);
-        finish_run(self, boards, 0, 0, messages)
+        let par = run_reference(&mut boards);
+        finish_run(self, boards, par)
     }
 }
 
@@ -816,6 +731,16 @@ mod tests {
         assert_eq!(r.table_slots, r.peak_flows);
         assert!(r.conns_per_sec() > 0.0);
         assert_eq!(r.handshake.count(), 96);
+    }
+
+    #[test]
+    fn wire_bytes_carry_both_headers() {
+        let mut boards = make_boards(&TrafficWorkload::small());
+        run_reference(&mut boards);
+        let header = crate::cluster::BRIDGE_HEADER + enzian_net::traffic::SEGMENT_HEADER_BYTES;
+        for f in boards.iter().flat_map(|b| b.port.flows()) {
+            assert_eq!(f.wire_bytes, f.payload_bytes + f.frames * header);
+        }
     }
 
     #[test]

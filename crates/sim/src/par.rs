@@ -1,6 +1,6 @@
 //! Conservative parallel discrete-event execution.
 //!
-//! The sequential [`Simulator`](crate::Simulator) gives every model a
+//! The sequential [`Simulator`] gives every model a
 //! single totally-ordered event queue. A multi-board platform, however,
 //! decomposes naturally along *board* boundaries: each board's simulator
 //! only interacts with the others through fabric messages whose minimum
@@ -27,6 +27,12 @@
 //! single-worker execution. The determinism battery in
 //! `crates/platform/tests/par_determinism.rs` asserts exactly this.
 //!
+//! Board models implement [`EventShard`] rather than [`Shard`]: each
+//! names its earliest unit of work by a [`WorkKey`] and runs it, holding
+//! arrivals in an [`Inbox`]. A blanket impl steps such a shard through
+//! epochs, and [`run_reference`] runs the same shards sequentially on
+//! one global clock, the oracle the parallel engine is checked against.
+//!
 //! # Deadlock freedom
 //!
 //! The inter-shard channels are bounded, so a sender can block on a full
@@ -41,10 +47,12 @@
 //! interleaving of a small configuration to check this argument, and
 //! shows the counterexample when the drain rule is removed.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
+use crate::engine::Simulator;
 use crate::time::{Duration, Time};
 
 /// A timestamped message between shards.
@@ -138,6 +146,162 @@ pub trait Shard: Send {
     }
 }
 
+/// The key ordering one shard's units of work: `(time, class, a, b)`.
+/// `class` ranks the kinds of work that fall on the same instant and
+/// `a`, `b` break the remaining ties. Class 0 is an inbox delivery,
+/// keyed `(at, 0, src, seq)` by [`Inbox::next_key`].
+pub type WorkKey = (Time, u8, u64, u64);
+
+/// A shard's held inbound envelopes, released in the `(at, src, seq)`
+/// merge order whatever order they arrived in.
+#[derive(Debug)]
+pub struct Inbox<T>(BinaryHeap<Reverse<Envelope<T>>>);
+
+impl<T: Eq> Default for Inbox<T> {
+    fn default() -> Self {
+        Inbox(BinaryHeap::new())
+    }
+}
+
+impl<T: Eq> Inbox<T> {
+    /// Holds `env` until it is popped.
+    pub fn push(&mut self, env: Envelope<T>) {
+        self.0.push(Reverse(env));
+    }
+
+    /// Removes and returns the earliest held envelope in merge order.
+    pub fn pop(&mut self) -> Option<Envelope<T>> {
+        self.0.pop().map(|Reverse(env)| env)
+    }
+
+    /// `true` when nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The work key of the earliest held delivery, `(at, 0, src, seq)`.
+    pub fn next_key(&self) -> Option<WorkKey> {
+        self.0
+            .peek()
+            .map(|Reverse(env)| (env.at, 0, env.src as u64, env.seq))
+    }
+}
+
+/// A shard that runs one unit of work at a time, in [`WorkKey`] order:
+/// the shape of every board model. It supplies only its domain logic;
+/// the blanket [`Shard`] implementation steps it through epochs, and
+/// [`run_reference`] runs a set of them on one global clock.
+pub trait EventShard: Send {
+    /// The inter-shard message payload.
+    type Msg: Send + Eq;
+
+    /// The shard's held inbound envelopes.
+    fn inbox(&mut self) -> &mut Inbox<Self::Msg>;
+
+    /// The key of the earliest unit of work (a held delivery or a local
+    /// event), or `None` when the shard has nothing it could run now.
+    fn next_key(&self) -> Option<WorkKey>;
+
+    /// Runs the unit of work [`EventShard::next_key`] names, pushing
+    /// every outbound message as `(destination shard, envelope)`.
+    fn process_next(&mut self, out: &mut Vec<(usize, Envelope<Self::Msg>)>);
+
+    /// `true` when the shard has no work left, keyed or not, and holds
+    /// no inbound messages.
+    fn idle(&self) -> bool;
+}
+
+impl<S: EventShard> Shard for S {
+    type Msg = S::Msg;
+
+    /// Absorbs `arrivals`, then runs work while its key falls inside
+    /// the window.
+    fn step(
+        &mut self,
+        window: EpochWindow,
+        arrivals: Vec<Envelope<S::Msg>>,
+        out: &mut Vec<(usize, Envelope<S::Msg>)>,
+    ) {
+        let inbox = self.inbox();
+        for env in arrivals {
+            inbox.push(env);
+        }
+        while self.next_key().is_some_and(|k| k.0 < window.end) {
+            self.process_next(out);
+        }
+    }
+
+    fn idle(&self) -> bool {
+        EventShard::idle(self)
+    }
+
+    /// The next key's time. Work without a key (a request waiting for
+    /// its response, say) is woken only by an envelope, which is either
+    /// held in some inbox (and keyed there) or in flight this epoch (and
+    /// folded in by the engine at send time), so this bound is never too
+    /// high.
+    fn next_activity(&self) -> Option<Time> {
+        self.next_key().map(|k| k.0)
+    }
+}
+
+/// A self-contained simulator is a shard that neither sends nor
+/// receives: each epoch runs its events before the window end.
+impl<M: Send> Shard for Simulator<M> {
+    type Msg = ();
+
+    fn step(
+        &mut self,
+        window: EpochWindow,
+        arrivals: Vec<Envelope<()>>,
+        _out: &mut Vec<(usize, Envelope<()>)>,
+    ) {
+        debug_assert!(arrivals.is_empty());
+        let _ = self.run_before(window.end);
+    }
+
+    fn idle(&self) -> bool {
+        self.pending() == 0
+    }
+
+    /// The clock: exact right after `run_before` drained the window
+    /// (`peek_next_time` would need `&mut self`).
+    fn next_activity(&self) -> Option<Time> {
+        (self.pending() > 0).then(|| self.now())
+    }
+}
+
+/// Runs `shards` to quiescence on one global clock: it repeatedly runs
+/// the least `(next_key, shard index)` and delivers what that sends at
+/// once. Every shard sees its work in the same order as under
+/// [`run_conservative`], so final states match it bit for bit; this is
+/// the sequential reference the parallel engine is checked against.
+/// The report counts messages only (no epochs).
+pub fn run_reference<S: EventShard>(shards: &mut [S]) -> ParReport {
+    let mut messages = 0;
+    let mut out = Vec::new();
+    loop {
+        let mut best: Option<(WorkKey, usize)> = None;
+        for (i, s) in shards.iter().enumerate() {
+            if let Some(k) = s.next_key() {
+                if best.is_none_or(|b| (k, i) < b) {
+                    best = Some((k, i));
+                }
+            }
+        }
+        let Some((_, i)) = best else { break };
+        shards[i].process_next(&mut out);
+        messages += out.len() as u64;
+        for (dst, env) in out.drain(..) {
+            shards[dst].inbox().push(env);
+        }
+    }
+    ParReport {
+        messages,
+        ..ParReport::default()
+    }
+}
+
 /// Tuning knobs of a conservative run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -178,7 +342,7 @@ impl ParConfig {
 
 /// What a conservative run did. Every field is a pure function of the
 /// shards and the lookahead — never of the thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParReport {
     /// Epochs executed, including the final all-quiet epoch.
     pub epochs: u64,
@@ -506,11 +670,7 @@ pub fn run_conservative<S: Shard>(shards: &mut [S], cfg: &ParConfig) -> ParRepor
     assert!(cfg.lookahead > Duration::ZERO, "lookahead must be positive");
     assert!(cfg.threads > 0, "at least one worker required");
     if shards.is_empty() {
-        return ParReport {
-            epochs: 0,
-            epochs_skipped: 0,
-            messages: 0,
-        };
+        return ParReport::default();
     }
     let n = shards.len();
     let workers = cfg.threads.min(n);
@@ -565,7 +725,6 @@ pub fn run_conservative<S: Shard>(shards: &mut [S], cfg: &ParConfig) -> ParRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Simulator;
 
     /// A shard wrapping a [`Simulator`] over a counter model: every
     /// arrival schedules a local event; every `period`, the shard pings
@@ -581,7 +740,7 @@ mod tests {
         /// Next time this shard may ping.
         next_ping: Time,
         latency: Duration,
-        inbox: std::collections::BinaryHeap<std::cmp::Reverse<Envelope<u64>>>,
+        inbox: Inbox<u64>,
     }
 
     impl PingShard {
@@ -594,7 +753,7 @@ mod tests {
                 budget,
                 next_ping: Time::ZERO,
                 latency,
-                inbox: std::collections::BinaryHeap::new(),
+                inbox: Inbox::default(),
             }
         }
     }
@@ -609,14 +768,11 @@ mod tests {
             out: &mut Vec<(usize, Envelope<u64>)>,
         ) {
             for env in arrivals {
-                self.inbox.push(std::cmp::Reverse(env));
+                self.inbox.push(env);
             }
             // Deliver due messages as local events, in merge order.
-            while let Some(std::cmp::Reverse(env)) = self.inbox.peek() {
-                if env.at >= window.end {
-                    break;
-                }
-                let std::cmp::Reverse(env) = self.inbox.pop().unwrap();
+            while self.inbox.next_key().is_some_and(|k| k.0 < window.end) {
+                let env = self.inbox.pop().unwrap();
                 let value = env.payload;
                 self.sim.schedule_at(env.at, move |log: &mut Vec<u64>, s| {
                     log.push(s.now().as_ps() ^ value);
@@ -677,83 +833,76 @@ mod tests {
         assert_eq!(b1.len(), 5, "board 1 hears board 0's five pings");
     }
 
-    /// A shard with widely spaced work and an honest [`Shard::next_activity`],
-    /// so the leader can jump quiet windows. Each due time sends one
-    /// envelope to the peer; arrivals are logged in merge order.
+    /// An [`EventShard`] with widely spaced work, so the leader can
+    /// jump quiet windows. Each due time sends one envelope to the peer;
+    /// arrivals are logged as `(src, payload)` in merge order.
     struct SparseShard {
         id: usize,
         peer: usize,
         times: VecDeque<Time>,
         seq: u64,
         latency: Duration,
-        log: Vec<u64>,
-        inbox: std::collections::BinaryHeap<std::cmp::Reverse<Envelope<u64>>>,
+        log: Log,
+        inbox: Inbox<u64>,
     }
 
-    impl Shard for SparseShard {
-        type Msg = u64;
+    /// Arrivals as `(src, payload)`, in merge order.
+    type Log = Vec<(usize, u64)>;
 
-        fn step(
-            &mut self,
-            window: EpochWindow,
-            arrivals: Vec<Envelope<u64>>,
-            out: &mut Vec<(usize, Envelope<u64>)>,
-        ) {
-            for env in arrivals {
-                self.inbox.push(std::cmp::Reverse(env));
-            }
-            while let Some(std::cmp::Reverse(env)) = self.inbox.peek() {
-                if env.at >= window.end {
-                    break;
-                }
-                let std::cmp::Reverse(env) = self.inbox.pop().unwrap();
-                self.log.push(env.payload);
-            }
-            while let Some(&t) = self.times.front() {
-                if t >= window.end {
-                    break;
-                }
-                self.times.pop_front();
-                self.seq += 1;
-                out.push((
-                    self.peer,
-                    Envelope {
-                        at: t.max(window.start) + self.latency,
-                        src: self.id,
-                        seq: self.seq,
-                        payload: t.as_ps(),
-                    },
-                ));
-            }
-        }
-
-        fn idle(&self) -> bool {
-            self.times.is_empty() && self.inbox.is_empty()
-        }
-
-        fn next_activity(&self) -> Option<Time> {
-            let local = self.times.front().copied();
-            let held = self.inbox.peek().map(|std::cmp::Reverse(e)| e.at);
-            match (local, held) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            }
-        }
-    }
-
-    fn run_sparse(threads: usize) -> (Vec<u64>, Vec<u64>, ParReport) {
-        let latency = Duration::from_ns(10);
+    /// Shard `id` sending to `peer` every 3 µs, `n` times.
+    fn sparse(id: usize, peer: usize, n: u64, latency: Duration) -> SparseShard {
         let gap = Duration::from_us(3);
-        let mk = |id: usize, peer: usize, n: u64| SparseShard {
+        SparseShard {
             id,
             peer,
             times: (0..n).map(|i| Time::ZERO + gap * (i + 1)).collect(),
             seq: 0,
             latency,
             log: Vec::new(),
-            inbox: std::collections::BinaryHeap::new(),
-        };
-        let mut shards = vec![mk(0, 1, 7), mk(1, 0, 4)];
+            inbox: Inbox::default(),
+        }
+    }
+
+    impl EventShard for SparseShard {
+        type Msg = u64;
+
+        fn inbox(&mut self) -> &mut Inbox<u64> {
+            &mut self.inbox
+        }
+
+        fn next_key(&self) -> Option<WorkKey> {
+            let send = self.times.front().map(|&t| (t, 1, 0, 0));
+            self.inbox.next_key().into_iter().chain(send).min()
+        }
+
+        fn process_next(&mut self, out: &mut Vec<(usize, Envelope<u64>)>) {
+            let key = self.next_key().expect("work to run");
+            if key.1 == 0 {
+                let env = self.inbox.pop().unwrap();
+                self.log.push((env.src, env.payload));
+                return;
+            }
+            self.times.pop_front();
+            self.seq += 1;
+            out.push((
+                self.peer,
+                Envelope {
+                    at: key.0 + self.latency,
+                    src: self.id,
+                    seq: self.seq,
+                    payload: key.0.as_ps(),
+                },
+            ));
+        }
+
+        fn idle(&self) -> bool {
+            self.times.is_empty() && self.inbox.is_empty()
+        }
+    }
+
+    fn run_sparse(threads: usize) -> (Log, Log, ParReport) {
+        let latency = Duration::from_ns(10);
+        let mut shards = vec![sparse(0, 1, 7, latency), sparse(1, 0, 4, latency)];
         let cfg = ParConfig::new(latency).with_threads(threads);
         let report = run_conservative(&mut shards, &cfg);
         let b = shards.pop().unwrap();
@@ -777,6 +926,36 @@ mod tests {
             "quiet epochs were executed, not skipped: {r1:?}"
         );
         assert!(r1.epochs_skipped > 1000, "{r1:?}");
+    }
+
+    #[test]
+    fn reference_driver_matches_the_engine_at_every_thread_count() {
+        // Shards 0 and 1 send to shard 2 at the same instants, so every
+        // one of their deliveries there is a same-time tie between two
+        // sources; shard 2 answers shard 0.
+        let latency = Duration::from_ns(10);
+        let build = || {
+            vec![
+                sparse(0, 2, 5, latency),
+                sparse(1, 2, 5, latency),
+                sparse(2, 0, 3, latency),
+            ]
+        };
+        let mut reference = build();
+        let r = run_reference(&mut reference);
+        assert_eq!((r.epochs, r.epochs_skipped, r.messages), (0, 0, 13));
+        let tie = &reference[2].log;
+        assert!(tie.chunks(2).all(|p| p[0].1 == p[1].1), "both land at once");
+        let srcs: Vec<usize> = tie.iter().map(|&(src, _)| src).collect();
+        assert_eq!(srcs, [0, 1].repeat(5), "the lower source goes first");
+        for threads in [1, 2, 8] {
+            let mut shards = build();
+            let p = run_conservative(&mut shards, &ParConfig::new(latency).with_threads(threads));
+            assert_eq!(p.messages, r.messages, "threads={threads}");
+            for (a, b) in shards.iter().zip(&reference) {
+                assert_eq!(a.log, b.log, "threads={threads}, shard {}", a.id);
+            }
+        }
     }
 
     #[test]
@@ -851,9 +1030,19 @@ mod tests {
             payload: (),
         };
         let mut v = [mk(5, 0, 1), mk(3, 2, 0), mk(3, 1, 7), mk(3, 1, 2)];
+        let mut inbox = Inbox::default();
+        for e in v.iter().cloned() {
+            inbox.push(e);
+        }
         v.sort();
         let keys: Vec<_> = v.iter().map(|e| (e.at.as_ps(), e.src, e.seq)).collect();
         assert_eq!(keys, vec![(3, 1, 2), (3, 1, 7), (3, 2, 0), (5, 0, 1)]);
+        // The inbox releases the same order, whatever the push order.
+        assert_eq!(inbox.next_key(), Some((Time::from_ps(3), 0, 1, 2)));
+        let popped: Vec<_> = std::iter::from_fn(|| inbox.pop())
+            .map(|e| (e.at.as_ps(), e.src, e.seq))
+            .collect();
+        assert_eq!(popped, keys);
     }
 
     #[test]
