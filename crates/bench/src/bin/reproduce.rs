@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! reproduce [fig3|fig6|fig7|fig8|fig9|fig11|table1|fig12|fault_sweep|
-//!            pipelining|modelcheck|cluster_scale|sched_hotpath|service|
-//!            cc_sweep|traffic|all]
+//!            pipelining|modelcheck|tcp_explore|cluster_scale|
+//!            sched_hotpath|service|cc_sweep|traffic|all]
 //!           [--csv [dir]] [--bench-dir dir] [--no-bench] [--threads N]
 //! ```
 //!

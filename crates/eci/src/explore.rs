@@ -30,7 +30,8 @@
 //! 4. **protocol legality** — an illegal directory step or a message
 //!    arriving in a state that cannot accept it.
 //!
-//! Violations are reported as a [`ViolationReport`] carrying the action
+//! Violations are reported as a
+//! [`Counterexample`](explore::Counterexample) carrying the action
 //! path from the initial state and the message trace of that path,
 //! rendered through the same wire encoding and [`decoder`](crate::decoder)
 //! used for live traces (home is shown as `cpu`, agents as `fpga`, with
@@ -44,16 +45,20 @@
 //! The search machinery itself — canonicalized BFS, shortest-path
 //! counterexamples, seeded random walks — is the generic
 //! [`enzian_sim::explore`] core; this module supplies the MOESI
-//! [`ProtocolModel`] instance and keeps the ECI-flavoured API
-//! ([`Explorer`], [`ViolationReport`]) on top of it, bit-identically to
-//! the pre-extraction explorer (same state counts, same
-//! counterexamples).
+//! [`ProtocolModel`] instance, [`MoesiModel`], whose
+//! [`run_exhaustive`](ProtocolModel::run_exhaustive) and
+//! [`random_walk`](ProtocolModel::random_walk) are the core's. The
+//! core's own [`Violation::Deadlock`](explore::Violation::Deadlock) and
+//! [`Violation::IllegalStep`](explore::Violation::IllegalStep) cover
+//! invariants 3 and 4; [`ViolationKind`] names the two
+//! coherence invariants. [`engine_walk`] checks the real
+//! [`EciSystem`] against the same protocol.
 
 use std::collections::VecDeque;
 
 use enzian_cache::{check_global_invariant, local_step, probe_step, CoherenceRequest, LineState};
 use enzian_mem::{Addr, CacheLine, NodeId};
-use enzian_sim::explore::{self, Counterexample, ProtocolModel, SplitMix64, Violation};
+use enzian_sim::explore::{self, ProtocolModel, SearchStats, SplitMix64};
 use enzian_sim::{Duration, LivelockError, Time};
 
 use crate::decoder::{format_trace, TraceBuffer};
@@ -91,7 +96,7 @@ pub const ALL_MUTATIONS: [Mutation; 4] = [
 ///
 /// `#[non_exhaustive]`: construct from a named preset
 /// ([`ExploreConfig::two_agent`] / [`ExploreConfig::three_agent`]) and
-/// adjust fields with the `with_*` setters.
+/// adjust fields by assignment or with the `with_*` setters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ExploreConfig {
@@ -107,7 +112,8 @@ pub struct ExploreConfig {
     /// Whether the home grants Exclusive on a read when it knows there
     /// are no other sharers (the E-state optimisation).
     pub e_grant: bool,
-    /// Abort with [`ExploreError::StateLimit`] beyond this many states.
+    /// Abort with [`StateLimit`](enzian_sim::explore::StateLimit)
+    /// beyond this many states.
     pub max_states: u64,
     /// Protocol bug to inject, if any.
     pub mutation: Option<Mutation>,
@@ -137,12 +143,6 @@ impl ExploreConfig {
         }
     }
 
-    /// Returns the config with `agents` replaced.
-    pub fn with_agents(mut self, agents: usize) -> Self {
-        self.agents = agents;
-        self
-    }
-
     /// Returns the config with `lines` replaced.
     pub fn with_lines(mut self, lines: usize) -> Self {
         self.lines = lines;
@@ -152,12 +152,6 @@ impl ExploreConfig {
     /// Returns the config with `max_writes` replaced.
     pub fn with_max_writes(mut self, max_writes: u8) -> Self {
         self.max_writes = max_writes;
-        self
-    }
-
-    /// Returns the config with `fifo_capacity` replaced.
-    pub fn with_fifo_capacity(mut self, capacity: usize) -> Self {
-        self.fifo_capacity = capacity;
         self
     }
 
@@ -180,17 +174,16 @@ impl ExploreConfig {
     }
 }
 
-/// The invariant a violating state breaks.
+/// The coherence invariant a violating state breaks. Deadlocks and
+/// protocol-legality errors are the core's
+/// [`Violation::Deadlock`](explore::Violation::Deadlock) and
+/// [`Violation::IllegalStep`](explore::Violation::IllegalStep).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViolationKind {
     /// Two writable copies, or a writable copy next to readable ones.
     Swmr,
     /// A readable copy holds a version other than the last one written.
     DataValue,
-    /// A non-quiescent state with no enabled transition.
-    Deadlock,
-    /// An illegal directory step or a message no state accepts.
-    Protocol,
 }
 
 impl std::fmt::Display for ViolationKind {
@@ -198,68 +191,14 @@ impl std::fmt::Display for ViolationKind {
         let s = match self {
             ViolationKind::Swmr => "SWMR invariant",
             ViolationKind::DataValue => "data-value invariant",
-            ViolationKind::Deadlock => "deadlock",
-            ViolationKind::Protocol => "protocol legality",
         };
         f.write_str(s)
     }
 }
 
-/// A counterexample: the shortest action path the search found from the
-/// initial state to a state violating one of the checked invariants.
-#[derive(Debug, Clone)]
-pub struct ViolationReport {
-    /// Which invariant broke.
-    pub kind: ViolationKind,
-    /// Human-readable description of the violation itself.
-    pub description: String,
-    /// The actions along the path, one line each.
-    pub actions: Vec<String>,
-    /// The message trace of the path, round-tripped through the wire
-    /// format and rendered by [`crate::decoder::format_record`].
-    pub trace: String,
-}
-
-impl std::fmt::Display for ViolationReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "{} violated: {}", self.kind, self.description)?;
-        writeln!(f, "path ({} actions):", self.actions.len())?;
-        for a in &self.actions {
-            writeln!(f, "  {a}")?;
-        }
-        writeln!(f, "decoded message trace:")?;
-        for l in self.trace.lines() {
-            writeln!(f, "  {l}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Deterministic exploration statistics (identical across runs for the
-/// same configuration and seed); the generic core's
-/// [`SearchStats`](enzian_sim::explore::SearchStats) under its
-/// pre-extraction name.
-pub use enzian_sim::explore::SearchStats as ExploreStats;
-
-/// The result of a (completed) exploration.
-#[derive(Debug, Clone)]
-pub struct ExploreOutcome {
-    /// Search statistics.
-    pub stats: ExploreStats,
-    /// The first violation found, if any.
-    pub violation: Option<ViolationReport>,
-}
-
-/// Why an exploration could not run to completion.
+/// Why an [`engine_walk`] failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExploreError {
-    /// The configured state budget was exhausted before the frontier
-    /// drained; shrink the configuration or raise
-    /// [`ExploreConfig::max_states`].
-    StateLimit {
-        /// The configured limit that was hit.
-        limit: u64,
-    },
     /// The transaction engine failed to drain its event queue within the
     /// event budget during a conformance walk.
     Livelock(LivelockError),
@@ -271,9 +210,6 @@ pub enum ExploreError {
 impl std::fmt::Display for ExploreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExploreError::StateLimit { limit } => {
-                write!(f, "state budget of {limit} states exhausted")
-            }
             ExploreError::Livelock(e) => write!(f, "conformance walk: {e}"),
             ExploreError::EngineDivergence(s) => write!(f, "engine diverged: {s}"),
         }
@@ -440,10 +376,10 @@ struct Hold {
     data: u8,
 }
 
-/// The complete model state. `Eq`/hashing go through
-/// [`ModelState::canonical`].
+/// The complete model state of a [`MoesiModel`]. The visited set keys
+/// on its canonical encoding (agent permutations merged).
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct ModelState {
+pub struct ModelState {
     /// `agents[a][l]`.
     agents: Vec<Vec<Hold>>,
     home: Vec<HomeLine>,
@@ -459,14 +395,20 @@ struct ModelState {
     to_agent: Vec<VecDeque<Msg>>,
 }
 
-/// One transition of the model.
+/// One transition of a [`MoesiModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Action {
+pub enum Action {
+    /// A load (`write: false`) or store miss sends a read request.
     Issue { agent: u8, line: u8, write: bool },
+    /// A store to a Shared or Owned copy requests an upgrade.
     Upgrade { agent: u8, line: u8 },
+    /// A store hits an Exclusive or Modified copy.
     StoreLocal { agent: u8, line: u8 },
+    /// The agent releases its copy with a victim message.
     Evict { agent: u8, line: u8 },
+    /// The home consumes the head of one agent virtual channel.
     DeliverHome { agent: u8, vc: u8 },
+    /// The agent consumes the head of its home queue.
     DeliverAgent { agent: u8 },
 }
 
@@ -1263,16 +1205,46 @@ impl ModelState {
 }
 
 // ---------------------------------------------------------------------
-// The explorer
+// The model checker
 // ---------------------------------------------------------------------
 
 /// The MOESI instance of the generic [`ProtocolModel`]: the coherence
-/// model above, exposed to the [`enzian_sim::explore`] core. The sent-
+/// model above, exposed to the [`enzian_sim::explore`] core. See the
+/// module docs for the model and the invariants it checks. The sent-
 /// message log each step produces is internal to trace rendering, so
 /// the trait's state is the bare [`ModelState`] and
 /// [`MoesiModel::render_path`] re-derives the log by replay.
-struct MoesiModel {
+#[derive(Debug, Clone)]
+pub struct MoesiModel {
     cfg: ExploreConfig,
+}
+
+impl MoesiModel {
+    /// Creates a model for `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is outside the tractable envelope
+    /// (1–3 agents, 1–4 lines, FIFO capacity ≥ 1).
+    pub fn new(cfg: ExploreConfig) -> Self {
+        assert!(
+            (1..=3).contains(&cfg.agents),
+            "agents must be 1..=3, got {}",
+            cfg.agents
+        );
+        assert!(
+            (1..=4).contains(&cfg.lines),
+            "lines must be 1..=4, got {}",
+            cfg.lines
+        );
+        assert!(cfg.fifo_capacity >= 1, "fifo_capacity must be at least 1");
+        MoesiModel { cfg }
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &ExploreConfig {
+        &self.cfg
+    }
 }
 
 impl ProtocolModel for MoesiModel {
@@ -1332,149 +1304,70 @@ impl ProtocolModel for MoesiModel {
         }
         format_trace(&buf)
     }
-}
 
-/// Converts the generic core's counterexample into the ECI-flavoured
-/// report, folding the core's deadlock/illegal-step classes into
-/// [`ViolationKind`].
-fn into_report(cx: Counterexample<ViolationKind>) -> ViolationReport {
-    ViolationReport {
-        kind: match cx.violation {
-            Violation::Invariant(kind) => kind,
-            Violation::Deadlock => ViolationKind::Deadlock,
-            Violation::IllegalStep => ViolationKind::Protocol,
-        },
-        description: cx.description,
-        actions: cx.actions,
-        trace: cx.trace,
+    fn max_states(&self) -> u64 {
+        self.cfg.max_states
     }
 }
 
-/// The state-space explorer. See the module docs for the model and the
-/// invariants it checks.
-#[derive(Debug, Clone)]
-pub struct Explorer {
-    cfg: ExploreConfig,
-}
-
-impl Explorer {
-    /// Creates an explorer for `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is outside the tractable envelope
-    /// (1–3 agents, 1–4 lines, FIFO capacity ≥ 1).
-    pub fn new(cfg: ExploreConfig) -> Self {
-        assert!(
-            (1..=3).contains(&cfg.agents),
-            "agents must be 1..=3, got {}",
-            cfg.agents
-        );
-        assert!(
-            (1..=4).contains(&cfg.lines),
-            "lines must be 1..=4, got {}",
-            cfg.lines
-        );
-        assert!(cfg.fifo_capacity >= 1, "fifo_capacity must be at least 1");
-        Explorer { cfg }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ExploreConfig {
-        &self.cfg
-    }
-
-    /// Exhaustive canonicalized BFS from the initial state. Returns the
-    /// statistics and the first (shortest-path) violation found, if any.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExploreError::StateLimit`] if the state budget runs
-    /// out before the frontier drains.
-    pub fn run_exhaustive(&self) -> Result<ExploreOutcome, ExploreError> {
-        let model = MoesiModel { cfg: self.cfg };
-        let out = explore::explore(&model, self.cfg.max_states)
-            .map_err(|e| ExploreError::StateLimit { limit: e.limit })?;
-        Ok(ExploreOutcome {
-            stats: out.stats,
-            violation: out.violation.map(into_report),
-        })
-    }
-
-    /// Seeded random walk: follows one pseudo-random enabled transition
-    /// per step for up to `max_steps` steps, checking the same
-    /// invariants as the exhaustive search. Deterministic for a given
-    /// seed and configuration. Useful for configurations whose full
-    /// state space is out of reach.
-    pub fn random_walk(&self, seed: u64, max_steps: u64) -> ExploreOutcome {
-        let model = MoesiModel { cfg: self.cfg };
-        let out = explore::random_walk(&model, seed, max_steps);
-        ExploreOutcome {
-            stats: out.stats,
-            violation: out.violation.map(into_report),
+/// Conformance walk against the real transaction engine: drives an
+/// [`EciSystem`] with a seeded op mix over a handful of shared lines,
+/// bounding every drain with [`EciSystem::run_to_idle_bounded`] so an
+/// engine livelock surfaces as [`ExploreError::Livelock`] instead of a
+/// hang, and checking the engine's online protocol checker stayed
+/// clean. The returned statistics count ops as `states` and engine
+/// events as `transitions`.
+///
+/// # Errors
+///
+/// [`ExploreError::Livelock`] if an event budget is exhausted;
+/// [`ExploreError::EngineDivergence`] if the online checker flagged a
+/// violation.
+pub fn engine_walk(seed: u64, ops: usize, max_events: u64) -> Result<SearchStats, ExploreError> {
+    let mut sys = EciSystem::new(EciSystemConfig::enzian());
+    let mut rng = SplitMix64::new(seed);
+    let lines: Vec<Addr> = (0..4).map(|i| Addr(0x40_000 + i * 128)).collect();
+    let mut events = 0u64;
+    let mut batch = Vec::new();
+    for i in 0..ops {
+        let addr = lines[(rng.next() % lines.len() as u64) as usize];
+        let op = match rng.next() % 4 {
+            0 => TxnOp::FpgaRead,
+            1 => TxnOp::FpgaWrite([i as u8; 128]),
+            2 => TxnOp::CpuRead,
+            _ => TxnOp::CpuWrite([i as u8; 128]),
+        };
+        batch.push(sys.issue(Time::ZERO, addr, op));
+        if batch.len() == 4 || i + 1 == ops {
+            events += sys
+                .run_to_idle_bounded(max_events)
+                .map_err(ExploreError::Livelock)?;
+            batch.clear();
         }
     }
-
-    /// Conformance walk against the real transaction engine: drives an
-    /// [`EciSystem`] with a seeded op mix over a handful of shared
-    /// lines, bounding every drain with
-    /// [`EciSystem::run_to_idle_bounded`] so an engine livelock
-    /// surfaces as [`ExploreError::Livelock`] instead of a hang, and
-    /// checking the engine's online protocol checker stayed clean.
-    ///
-    /// # Errors
-    ///
-    /// [`ExploreError::Livelock`] if an event budget is exhausted;
-    /// [`ExploreError::EngineDivergence`] if the online checker flagged
-    /// a violation.
-    pub fn engine_walk(
-        seed: u64,
-        ops: usize,
-        max_events: u64,
-    ) -> Result<ExploreStats, ExploreError> {
-        let mut sys = EciSystem::new(EciSystemConfig::enzian());
-        let mut rng = SplitMix64::new(seed);
-        let lines: Vec<Addr> = (0..4).map(|i| Addr(0x40_000 + i * 128)).collect();
-        let mut events = 0u64;
-        let mut batch = Vec::new();
-        for i in 0..ops {
-            let addr = lines[(rng.next() % lines.len() as u64) as usize];
-            let op = match rng.next() % 4 {
-                0 => TxnOp::FpgaRead,
-                1 => TxnOp::FpgaWrite([i as u8; 128]),
-                2 => TxnOp::CpuRead,
-                _ => TxnOp::CpuWrite([i as u8; 128]),
-            };
-            batch.push(sys.issue(Time::ZERO, addr, op));
-            if batch.len() == 4 || i + 1 == ops {
-                events += sys
-                    .run_to_idle_bounded(max_events)
-                    .map_err(ExploreError::Livelock)?;
-                batch.clear();
-            }
-        }
-        if !sys.checker().violations().is_empty() {
-            return Err(ExploreError::EngineDivergence(format!(
-                "{} checker violations after {ops} ops",
-                sys.checker().violations().len()
-            )));
-        }
-        Ok(ExploreStats {
-            states: ops as u64,
-            transitions: events,
-            frontier_peak: 0,
-            max_depth: 0,
-        })
+    if !sys.checker().violations().is_empty() {
+        return Err(ExploreError::EngineDivergence(format!(
+            "{} checker violations after {ops} ops",
+            sys.checker().violations().len()
+        )));
     }
+    Ok(SearchStats {
+        states: ops as u64,
+        transitions: events,
+        frontier_peak: 0,
+        max_depth: 0,
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use enzian_sim::explore::{StateLimit, Violation};
+
     use super::*;
 
     #[test]
     fn two_agent_one_line_is_clean() {
-        let out = Explorer::new(ExploreConfig::two_agent())
+        let out = MoesiModel::new(ExploreConfig::two_agent())
             .run_exhaustive()
             .expect("within state budget");
         assert!(
@@ -1484,12 +1377,16 @@ mod tests {
         );
         assert!(out.stats.states > 500, "suspiciously small state space");
         assert!(out.stats.transitions > out.stats.states);
+        // Pinned: a changed count is a changed protocol or checker.
+        assert_eq!(out.stats.states, 557);
+        assert_eq!(out.stats.transitions, 1_150);
+        assert_eq!(out.stats.max_depth, 23);
     }
 
     #[test]
     fn exploration_is_deterministic() {
         let run = || {
-            Explorer::new(ExploreConfig::two_agent())
+            MoesiModel::new(ExploreConfig::two_agent())
                 .run_exhaustive()
                 .unwrap()
                 .stats
@@ -1499,7 +1396,7 @@ mod tests {
 
     #[test]
     fn no_e_grant_variant_is_clean_too() {
-        let out = Explorer::new(ExploreConfig::two_agent().with_e_grant(false))
+        let out = MoesiModel::new(ExploreConfig::two_agent().with_e_grant(false))
             .run_exhaustive()
             .expect("within state budget");
         assert!(out.violation.is_none());
@@ -1509,25 +1406,39 @@ mod tests {
     fn every_mutation_is_caught_with_a_decoded_counterexample() {
         for m in ALL_MUTATIONS {
             let cfg = ExploreConfig::two_agent().with_mutation(Some(m));
-            let out = Explorer::new(cfg).run_exhaustive().expect("budget");
+            let out = MoesiModel::new(cfg).run_exhaustive().expect("budget");
             let v = out
                 .violation
                 .unwrap_or_else(|| panic!("{m:?} was not caught"));
             match m {
                 Mutation::GrantSharedWhileOwned | Mutation::SkipInvalidateOnUpgrade => {
                     assert!(
-                        matches!(v.kind, ViolationKind::Swmr | ViolationKind::DataValue),
+                        matches!(
+                            v.violation,
+                            Violation::Invariant(ViolationKind::Swmr | ViolationKind::DataValue)
+                        ),
                         "{m:?} flagged as {:?}",
-                        v.kind
+                        v.violation
                     );
                 }
                 Mutation::ForgetVictimData => {
-                    assert_eq!(v.kind, ViolationKind::DataValue, "{m:?}: {v}");
+                    assert_eq!(
+                        v.violation,
+                        Violation::Invariant(ViolationKind::DataValue),
+                        "{m:?}: {v}"
+                    );
                 }
                 Mutation::DropProbeAck => {
-                    assert_eq!(v.kind, ViolationKind::Deadlock, "{m:?}: {v}");
+                    assert_eq!(v.violation, Violation::Deadlock, "{m:?}: {v}");
                 }
             }
+            let pinned_states = match m {
+                Mutation::GrantSharedWhileOwned => 42,
+                Mutation::SkipInvalidateOnUpgrade => 220,
+                Mutation::ForgetVictimData => 103,
+                Mutation::DropProbeAck => 81,
+            };
+            assert_eq!(out.stats.states, pinned_states, "{m:?}: state count");
             assert!(!v.actions.is_empty(), "{m:?}: empty action path");
             // The counterexample trace went through the real wire
             // format and decoder.
@@ -1544,14 +1455,14 @@ mod tests {
     #[test]
     fn state_limit_is_a_checked_error() {
         let cfg = ExploreConfig::two_agent().with_max_states(10);
-        let err = Explorer::new(cfg).run_exhaustive().unwrap_err();
-        assert_eq!(err, ExploreError::StateLimit { limit: 10 });
+        let err = MoesiModel::new(cfg).run_exhaustive().unwrap_err();
+        assert_eq!(err, StateLimit { limit: 10 });
         assert!(err.to_string().contains("10"));
     }
 
     #[test]
     fn random_walk_is_deterministic_and_clean() {
-        let e = Explorer::new(ExploreConfig::three_agent().with_lines(2));
+        let e = MoesiModel::new(ExploreConfig::three_agent().with_lines(2));
         let a = e.random_walk(7, 4_000);
         let b = e.random_walk(7, 4_000);
         assert_eq!(a.stats, b.stats);
@@ -1562,7 +1473,7 @@ mod tests {
     #[test]
     fn random_walk_finds_an_injected_bug() {
         let cfg = ExploreConfig::two_agent().with_mutation(Some(Mutation::ForgetVictimData));
-        let e = Explorer::new(cfg);
+        let e = MoesiModel::new(cfg);
         // Some seed in a small set must trip over the bug.
         let found = (0..8).any(|seed| e.random_walk(seed, 20_000).violation.is_some());
         assert!(found, "no seed found the forgotten write-back");
@@ -1570,12 +1481,12 @@ mod tests {
 
     #[test]
     fn engine_walk_conforms_and_bounds_livelock() {
-        let stats = Explorer::engine_walk(3, 32, 200_000).expect("engine walk clean");
+        let stats = engine_walk(3, 32, 200_000).expect("engine walk clean");
         assert_eq!(stats.states, 32);
         assert!(stats.transitions > 0);
         // A starved budget must surface as a checked livelock error,
         // not a hang.
-        let err = Explorer::engine_walk(3, 32, 3).unwrap_err();
+        let err = engine_walk(3, 32, 3).unwrap_err();
         assert!(matches!(err, ExploreError::Livelock(_)), "{err}");
         assert!(err.to_string().contains("event budget"));
     }
@@ -1603,9 +1514,9 @@ mod tests {
     }
 
     #[test]
-    fn violation_report_renders_the_full_story() {
+    fn counterexample_renders_the_full_story() {
         let cfg = ExploreConfig::two_agent().with_mutation(Some(Mutation::SkipInvalidateOnUpgrade));
-        let out = Explorer::new(cfg).run_exhaustive().unwrap();
+        let out = MoesiModel::new(cfg).run_exhaustive().unwrap();
         let v = out.violation.expect("must be caught");
         let rendered = v.to_string();
         assert!(rendered.contains("violated"));

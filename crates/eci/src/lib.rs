@@ -63,8 +63,7 @@ pub use checker::{CheckerError, ProtocolChecker};
 pub use cosim::{CosimEndpoint, CosimHome, Loopback};
 pub use directory::{DirOp, DirStepError, Directory, DirectoryEntry, RemoteCopy};
 pub use explore::{
-    ExploreConfig, ExploreError, ExploreOutcome, ExploreStats, Explorer, Mutation, ViolationKind,
-    ViolationReport, ALL_MUTATIONS,
+    engine_walk, ExploreConfig, ExploreError, MoesiModel, Mutation, ViolationKind, ALL_MUTATIONS,
 };
 pub use link::{EciLinkConfig, EciLinks, LinkPolicy, LinkState, VirtualChannel};
 pub use message::{Message, MessageKind, TxnId};

@@ -52,7 +52,7 @@
 //! replayed path is built as a [`Segment`], round-tripped through the
 //! wire format, and printed from the decoded header.
 
-use enzian_sim::explore::{self, ProtocolModel, SearchOutcome, StateLimit};
+use enzian_sim::explore::{self, ProtocolModel};
 
 use crate::traffic::{decode_segment, encode_segment, flags, Segment};
 
@@ -92,7 +92,7 @@ pub const ALL_TCP_MUTATIONS: [TcpMutation; 4] = [
 ///
 /// `#[non_exhaustive]`: construct from a named preset
 /// ([`TcpModelConfig::duplex`] / [`TcpModelConfig::deep`]) and adjust
-/// fields with the `with_*` setters.
+/// fields by assignment or with the `with_*` setters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct TcpModelConfig {
@@ -110,7 +110,8 @@ pub struct TcpModelConfig {
     /// fair: to permanently lose a segment kind the adversary would
     /// need `retransmit_budget + 1` drops of it.
     pub retransmit_budget: u8,
-    /// Abort with [`StateLimit`] beyond this many states.
+    /// Abort with [`StateLimit`](enzian_sim::explore::StateLimit)
+    /// beyond this many states.
     pub max_states: u64,
     /// Protocol bug to inject, if any.
     pub mutation: Option<TcpMutation>,
@@ -171,12 +172,6 @@ impl TcpModelConfig {
     /// Returns the config with `loss_budget` replaced.
     pub fn with_loss_budget(mut self, loss_budget: u8) -> Self {
         self.loss_budget = loss_budget;
-        self
-    }
-
-    /// Returns the config with `dup_budget` replaced.
-    pub fn with_dup_budget(mut self, dup_budget: u8) -> Self {
-        self.dup_budget = dup_budget;
         self
     }
 
@@ -1036,22 +1031,6 @@ impl TcpModel {
         &self.cfg
     }
 
-    /// Exhaustive canonicalized BFS from the initial state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateLimit`] if the state budget runs out before the
-    /// frontier drains.
-    pub fn run_exhaustive(&self) -> Result<SearchOutcome<TcpViolationKind>, StateLimit> {
-        explore::explore(self, self.cfg.max_states)
-    }
-
-    /// Seeded random walk, checking the same invariants as the
-    /// exhaustive search. Deterministic for a given seed.
-    pub fn random_walk(&self, seed: u64, max_steps: u64) -> SearchOutcome<TcpViolationKind> {
-        explore::random_walk(self, seed, max_steps)
-    }
-
     /// Replays the canonical orderly schedule — handshake, full data
     /// exchange, active close by `a` — through the model and returns
     /// each endpoint's [`ConnState`] sequence (starting from `Closed`).
@@ -1201,11 +1180,15 @@ impl ProtocolModel for TcpModel {
         }
         lines.join("\n")
     }
+
+    fn max_states(&self) -> u64 {
+        self.cfg.max_states
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use enzian_sim::explore::{expect_clean, expect_violation, Violation};
+    use enzian_sim::explore::{expect_clean, expect_violation, StateLimit, Violation};
 
     use super::*;
 

@@ -28,10 +28,10 @@ use enzian_net::eth::{EthLink, EthLinkConfig};
 use enzian_sim::par::{
     run_conservative, run_reference, Envelope, EventShard, Inbox, ParConfig, ParReport, WorkKey,
 };
-use enzian_sim::{Duration, FaultPlan, FaultSpec, MetricsRegistry, SimRng, Time};
+use enzian_sim::{Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, SimRng, Time};
 
+use crate::fabric::FabricPort;
 pub use crate::fabric::FlowStats;
-use crate::fabric::{FabricPort, Fnv};
 
 /// Identifies a board in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -307,13 +307,6 @@ impl ClusterWorkload {
     /// Returns the workload with `ops_per_stream` replaced.
     pub fn with_ops_per_stream(mut self, ops: u64) -> Self {
         self.ops_per_stream = ops;
-        self
-    }
-
-    /// Returns the workload with `remote_bp` replaced.
-    pub fn with_remote_bp(mut self, bp: u64) -> Self {
-        assert!(bp <= 10_000, "basis points exceed 10_000");
-        self.remote_bp = bp;
         self
     }
 

@@ -11,6 +11,8 @@
 //! module still exposes its typed `run_instrumented()` for tests; the
 //! module's `Driver` unit struct adapts it to the trait, carrying the
 //! CSV tables and the rendered text in an [`ExperimentRows`] bundle.
+//! [`modelcheck`] is the one module with two entries: a
+//! [`modelcheck::Sweep`] per protocol model, one generic driver.
 
 pub mod cc_sweep;
 pub mod cluster_scale;
@@ -26,7 +28,6 @@ pub mod modelcheck;
 pub mod pipelining;
 pub mod sched_hotpath;
 pub mod service;
-pub mod tcp_explore;
 pub mod traffic;
 
 use enzian_sim::MetricsRegistry;
@@ -85,8 +86,8 @@ impl ExperimentRows {
 
 /// One table or figure of the evaluation, dispatchable by name.
 ///
-/// Implementations are unit structs (`fig3::Driver`, …) listed in
-/// [`registry`]. `run()` must keep every exported observable (rows,
+/// Implementations are unit structs (`fig3::Driver`, …) or statics
+/// (`modelcheck::MOESI`) listed in [`registry`]. `run()` must keep every exported observable (rows,
 /// tables, registry metrics) independent of `ctx.threads` and of wall
 /// clock: the BENCH JSON contract is byte-identical output for every
 /// thread count, which CI enforces.
@@ -128,8 +129,8 @@ pub fn registry() -> &'static [&'static dyn Experiment] {
         &fault_sweep::Driver,
         &cc_sweep::Driver,
         &pipelining::Driver,
-        &modelcheck::Driver,
-        &tcp_explore::Driver,
+        &modelcheck::MOESI,
+        &modelcheck::TCP,
         &cluster_scale::Driver,
         &sched_hotpath::Driver,
         &service::Driver,

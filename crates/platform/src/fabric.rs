@@ -6,7 +6,7 @@
 
 use enzian_net::eth::{EthLinkConfig, FRAME_OVERHEAD_BYTES};
 use enzian_sim::channel::Transfer;
-use enzian_sim::{Channel, ChannelConfig, Time};
+use enzian_sim::{Channel, ChannelConfig, Fnv, Time};
 
 /// Per-destination traffic accounting for one board's bridge, as seen
 /// at the sender. `wire_bytes` is what the sender's channel carried;
@@ -125,25 +125,5 @@ impl FabricPort {
             total.wire_bytes += f.wire_bytes;
         }
         total
-    }
-}
-
-/// FNV-1a 64-bit, used for the run digests (stable, dependency-free).
-pub(crate) struct Fnv(pub(crate) u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
     }
 }

@@ -54,9 +54,9 @@ use enzian_net::eth::EthLinkConfig;
 use enzian_sim::par::{
     run_conservative, run_reference, Envelope, EventShard, Inbox, ParConfig, ParReport, WorkKey,
 };
-use enzian_sim::{cluster_targets, Duration, FaultPlan, FaultSpec, MetricsRegistry, Time};
+use enzian_sim::{cluster_targets, Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, Time};
 
-use crate::fabric::{FabricPort, Fnv};
+use crate::fabric::FabricPort;
 
 // -------------------------------------------------------------------
 // Configuration
@@ -240,12 +240,6 @@ impl ServiceConfig {
     /// Returns the configuration with `scenario` injected.
     pub fn with_scenario(mut self, scenario: FaultScenario) -> Self {
         self.scenario = scenario;
-        self
-    }
-
-    /// Returns the configuration with the client plan replaced.
-    pub fn with_client_plan(mut self, client: ClientPlan) -> Self {
-        self.client = client;
         self
     }
 

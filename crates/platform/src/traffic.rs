@@ -34,9 +34,9 @@ use enzian_sim::par::{
     run_conservative, run_reference, Envelope, EventShard, Inbox, ParConfig, ParReport, WorkKey,
 };
 use enzian_sim::stats::LatencyHistogram;
-use enzian_sim::{Duration, FaultPlan, FaultSpec, MetricsRegistry, Time};
+use enzian_sim::{Duration, FaultPlan, FaultSpec, Fnv, MetricsRegistry, Time};
 
-use crate::fabric::{FabricPort, Fnv};
+use crate::fabric::FabricPort;
 
 /// Store-and-forward latency of the top-of-rack hop every inter-board
 /// frame crosses (the same 1 µs as [`enzian_net::eth::Switch::tor`]).

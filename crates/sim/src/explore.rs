@@ -28,7 +28,8 @@
 //!   plus a description when a state is broken;
 //! * a **path renderer** that replays an action sequence and formats the
 //!   messages it puts on the wire, so counterexamples are decoded
-//!   through the same codec the live system uses.
+//!   through the same codec the live system uses;
+//! * the **state budget** of [`ProtocolModel::run_exhaustive`].
 //!
 //! The checker itself contributes the two violations every protocol
 //! shares — [`Violation::Deadlock`] (a non-quiescent state with no
@@ -71,6 +72,30 @@ pub trait ProtocolModel {
     /// Replays `path` from the initial state and renders the message
     /// trace it generates, decoded through the model's wire format.
     fn render_path(&self, path: &[Self::Action]) -> String;
+
+    /// The state budget of [`ProtocolModel::run_exhaustive`].
+    fn max_states(&self) -> u64;
+
+    /// [`explore`] within the model's own [`ProtocolModel::max_states`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StateLimit`] if the budget runs out before the
+    /// frontier drains.
+    fn run_exhaustive(&self) -> Result<SearchOutcome<Self::Kind>, StateLimit>
+    where
+        Self: Sized,
+    {
+        explore(self, self.max_states())
+    }
+
+    /// [`random_walk`] from the model's initial state.
+    fn random_walk(&self, seed: u64, max_steps: u64) -> SearchOutcome<Self::Kind>
+    where
+        Self: Sized,
+    {
+        random_walk(self, seed, max_steps)
+    }
 }
 
 /// A successor of a state: either the next state or a protocol-legality
@@ -556,6 +581,10 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         }
+
+        fn max_states(&self) -> u64 {
+            1_000
+        }
     }
 
     #[test]
@@ -567,7 +596,7 @@ mod tests {
 
     #[test]
     fn exploration_is_deterministic() {
-        let run = || explore(&Ring::clean(4, 3), 1_000).unwrap().stats;
+        let run = || Ring::clean(4, 3).run_exhaustive().unwrap().stats;
         assert_eq!(run(), run());
     }
 
@@ -624,7 +653,7 @@ mod tests {
     #[test]
     fn random_walk_is_deterministic_and_terminates() {
         let m = Ring::clean(3, 2);
-        let a = random_walk(&m, 7, 100);
+        let a = m.random_walk(7, 100);
         let b = random_walk(&m, 7, 100);
         assert_eq!(a.stats, b.stats);
         assert!(a.violation.is_none());

@@ -45,8 +45,8 @@ pub mod channel;
 pub mod engine;
 pub mod explore;
 pub mod fault;
+pub mod fnv;
 pub mod par;
-#[cfg(feature = "reference-core")]
 pub mod reference;
 pub mod rng;
 pub mod stats;
@@ -61,6 +61,7 @@ pub use explore::{
     Violation,
 };
 pub use fault::{cluster_targets, FaultPlan, FaultSpec, FaultTrigger};
+pub use fnv::Fnv;
 pub use par::{run_conservative, Envelope, EpochBarrier, EpochWindow, ParConfig, ParReport, Shard};
 pub use rng::SimRng;
 pub use telemetry::{Instrumented, MetricsRegistry, TraceEvent, TraceRing};

@@ -21,9 +21,9 @@ fn core_model_types_are_send() {
     assert_send::<enzian::apps::KvStore>();
     assert_send::<enzian::platform::EnzianCluster>();
     assert_send::<enzian::sim::SimRng>();
-    assert_send::<enzian::eci::Explorer>();
-    assert_send::<enzian::eci::ExploreOutcome>();
-    assert_send::<enzian::eci::ViolationReport>();
+    assert_send::<enzian::eci::MoesiModel>();
+    assert_send::<enzian::sim::SearchOutcome<enzian::eci::ViolationKind>>();
+    assert_send::<enzian::sim::Counterexample<enzian::eci::ViolationKind>>();
 }
 
 #[test]
@@ -35,7 +35,7 @@ fn value_types_are_sync() {
     assert_sync::<enzian::bmc::RailId>();
     assert_sync::<enzian::eci::message::TxnId>();
     assert_sync::<enzian::eci::ExploreConfig>();
-    assert_sync::<enzian::eci::ExploreStats>();
+    assert_sync::<enzian::sim::SearchStats>();
     assert_sync::<enzian::eci::Mutation>();
 }
 
